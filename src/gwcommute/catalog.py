@@ -16,13 +16,13 @@ Kinds:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
-from .cgl import mollified_weight
-from .grid import GridFunction, boundary_mass_fraction
+from .grid import GridFunction, boundary_mass_fraction, weight_multiply
+from .multiindex import unit
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,6 @@ class TestFunctionSpec:
     seed: int = 0
     cutoff: int = 0
     envelope_sigma: float = 0.0
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "gaussian-mixture", "bandlimited"):
@@ -97,18 +96,17 @@ class TestFunctionSpec:
         return template.with_samples(envelope * trig)
 
 
-def _gauss(id_: str, sigma: float, center=(), amplitude=1.0, **meta) -> TestFunctionSpec:
+def _gauss(id_: str, sigma: float, center=(), amplitude=1.0) -> TestFunctionSpec:
     comp = GaussianComponent(sigma, tuple(center), amplitude)
-    return TestFunctionSpec(id=id_, kind="gaussian", components=(comp,),
-                            metadata=dict(meta))
+    return TestFunctionSpec(id=id_, kind="gaussian", components=(comp,))
 
 
 DEFAULT_CATALOG: dict[str, TestFunctionSpec] = {
     spec.id: spec
     for spec in [
-        _gauss("gauss-narrow", 0.35, mass=1.0),
-        _gauss("gauss-wide", 0.5, mass=1.0),
-        _gauss("gauss-shift", 0.4, center=(1.2,), mass=1.0),
+        _gauss("gauss-narrow", 0.35),
+        _gauss("gauss-wide", 0.5),
+        _gauss("gauss-shift", 0.4, center=(1.2,)),
         TestFunctionSpec(
             id="mixture",
             kind="gaussian-mixture",
@@ -144,15 +142,38 @@ def get_entry(name: str) -> TestFunctionSpec:
         raise KeyError(f"unknown test function {name!r}; catalog has: {known}")
 
 
-def realize_checked(name: str, dim: int, points: int, half_width: float) -> GridFunction:
-    """Realize a catalog entry and enforce the boundary-mass invariant."""
-    phi = get_entry(name).realize(dim, points, half_width)
+def realize_checked(name: str, dim: int, points: int, half_width: float,
+                    seed_offset: int = 0) -> GridFunction:
+    """Realize a catalog entry (bandlimited seeds shifted by seed_offset) and
+    enforce the boundary-mass invariant."""
+    spec = get_entry(name)
+    if spec.kind == "bandlimited" and seed_offset:
+        spec = replace(spec, seed=spec.seed + seed_offset)
+    phi = spec.realize(dim, points, half_width)
     fraction = boundary_mass_fraction(phi)
     if fraction > 1e-12:
         raise ValueError(
             f"catalog entry {name!r} has boundary mass {fraction:.2e} on this grid"
         )
     return phi
+
+
+def mollified_weight(j: int, eps: float, dim: int, points: int,
+                     half_width: float) -> tuple[GridFunction, float]:
+    """Samples of eta_{j,eps}(x) = x_j exp(-eps |x|^2) and its Lipschitz bound.
+
+    The gradient bound is analytic: |grad eta| <= 2 sup_{rho>=0} rho e^{-rho}
+    + 1 <= 2, independent of eps.  Grid maxima underestimate the sup and must
+    not be used in its place.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    e_j = unit(dim, j)
+    template = GridFunction(dim, points, half_width, np.zeros((points,) * dim))
+    mesh = template.meshgrid()
+    radius_sq = sum(np.square(c) for c in mesh)
+    ones = template.with_samples(np.exp(-eps * radius_sq))
+    return weight_multiply(ones, e_j), 2.0
 
 
 def lipschitz_entries(dim: int, points: int, half_width: float):

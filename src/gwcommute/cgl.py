@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridFunction, boundary_mass_fraction, lp_norm, weight_multiply
-from .multiindex import enumerate_level, unit
+from .multiindex import enumerate_level
 from .parallel import ordered_map
-from .semigroup import _xi_squared
+from .semigroup import xi_squared
 
 DEFAULT_SMALLNESS = 0.05
 DEFAULT_BLOWUP_FACTOR = 10.0
@@ -103,7 +103,7 @@ class _Stepper:
     def __init__(self, cfg: CGLConfig, dt: float):
         self.cfg = cfg
         self.dt = dt
-        xi_sq = _xi_squared(cfg.u0)
+        xi_sq = xi_squared(cfg.u0)
         self.full = np.exp(-cfg.nu * dt * xi_sq)
         self.half = np.exp(-cfg.nu * (dt / 2.0) * xi_sq)
         self.sup_limit = cfg.blowup_factor * lp_norm(cfg.u0, math.inf)
@@ -120,11 +120,6 @@ class _Stepper:
                 f"{self.cfg.blowup_factor} x its initial value"
             )
         return u.with_samples(samples)
-
-
-def step_duhamel(u: GridFunction, cfg: CGLConfig, dt: float) -> GridFunction:
-    """One exponential-midpoint step of size dt (second-order local accuracy)."""
-    return _Stepper(cfg, dt).advance(u)
 
 
 def simulate(cfg: CGLConfig) -> CGLRun:
@@ -192,14 +187,6 @@ def weighted_records(run: CGLRun, m: int, q: float) -> list[WeightedRecord]:
     ]
 
 
-def run_decay_probe(cfg: CGLConfig, r_values=(1.0, 2.0, math.inf)) -> list[DecayRecord]:
-    return decay_records(simulate(cfg), r_values)
-
-
-def run_weighted_probe(cfg: CGLConfig, m: int, q: float) -> list[WeightedRecord]:
-    return weighted_records(simulate(cfg), m, q)
-
-
 def decay_bounded(records: list[DecayRecord], factor: float = 2.0) -> bool:
     """Each r-series bounded on t >= 1 by factor times its value at t = 1."""
     by_r: dict[float, list[DecayRecord]] = {}
@@ -228,21 +215,3 @@ def fit_loglog_slope(records: list[WeightedRecord], t_min: float, t_max: float) 
     ys = np.array([p[1] for p in pts])
     slope, _intercept = np.polyfit(xs, ys, 1)
     return float(slope)
-
-
-def mollified_weight(j: int, eps: float, dim: int, points: int,
-                     half_width: float) -> tuple[GridFunction, float]:
-    """Samples of eta_{j,eps}(x) = x_j exp(-eps |x|^2) and its Lipschitz bound.
-
-    The gradient bound is analytic: |grad eta| <= 2 sup_{rho>=0} rho e^{-rho}
-    + 1 <= 2, independent of eps.  Grid maxima underestimate the sup and must
-    not be used in its place.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    e_j = unit(dim, j)
-    template = GridFunction(dim, points, half_width, np.zeros((points,) * dim))
-    mesh = template.meshgrid()
-    radius_sq = sum(np.square(c) for c in mesh)
-    ones = template.with_samples(np.exp(-eps * radius_sq))
-    return weight_multiply(ones, e_j), 2.0

@@ -8,7 +8,6 @@ configuration/argument error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from importlib import resources
@@ -25,7 +24,7 @@ from .cgl import (
     weighted_records,
 )
 from .commutator import identity_reports, lemma_B2_identity
-from .config import ConfigError, SuiteConfig, parse_suite_config
+from .config import ConfigError, parse_suite_config
 from .estimates import (
     ExponentTriple,
     constant_A,
@@ -40,6 +39,7 @@ from .reporting import (
     ESTIMATE_COLUMNS,
     IDENTITY_COLUMNS,
     config_hash,
+    footer_line,
     format_exponent,
     format_value,
     render_csv,
@@ -51,26 +51,93 @@ _EXIT_FAIL = 1
 _EXIT_CONFIG = 2
 
 
-def _emit(text: str, out_path) -> None:
+def _finish(columns, rows, ok: bool, tag: str, out_path) -> int:
+    """Write the CSV to out_path, or to stdout without one; map ok to the exit code."""
+    text = render_csv(columns, rows, tag)
     if out_path:
         write_atomic(out_path, text)
     else:
         sys.stdout.write(text)
+    return _EXIT_PASS if ok else _EXIT_FAIL
 
 
-def _realize(spec: catalog.TestFunctionSpec, dim: int, points: int,
-             half_width: float, seed_offset: int = 0):
-    if spec.kind == "bandlimited" and seed_offset:
-        spec = dataclasses.replace(spec, seed=spec.seed + seed_offset)
-    phi = spec.realize(dim, points, half_width)
-    from .grid import boundary_mass_fraction
+def _report_table(columns, reports):
+    return columns, [r.row(columns) for r in reports], all(r.passed for r in reports)
 
-    fraction = boundary_mass_fraction(phi)
-    if fraction > 1e-12:
-        raise ConfigError(
-            f"test function {spec.id!r} has boundary mass {fraction:.2e} on this grid"
-        )
-    return phi
+
+def _realize_all(sec, seed: int):
+    return [
+        (name, catalog.realize_checked(name, sec.dim, sec.points, sec.half_width,
+                                       seed_offset=seed))
+        for name in sec.testfns
+    ]
+
+
+# Harness runners: (section, suite seed) -> (columns, rows, all passed).  The
+# suite and the single-harness subcommands both build their rows here.
+
+def run_identity(sec: config.IdentitySection, seed: int = 0):
+    reports = []
+    for name, phi in _realize_all(sec, seed):
+        for alpha in sec.alphas:
+            for omega in sec.omegas:
+                reports.extend(
+                    identity_reports(alpha, omega, phi, testfn=name,
+                                     tol=sec.tolerance)
+                )
+    return _report_table(IDENTITY_COLUMNS, reports)
+
+
+def run_estimate(sec: config.EstimateSection, seed: int = 0):
+    triples = [ExponentTriple(p, q) for p, q in sec.pq_pairs]
+    phis = _realize_all(sec, seed)
+    reports = []
+    for name, phi in phis:
+        for m in sec.m_values:
+            for triple in triples:
+                for omega in sec.omegas:
+                    reports.append(verify_theorem_1_2(m, triple, omega, phi,
+                                                      testfn=name))
+                    if sec.radial:
+                        reports.append(verify_radial_remark(m, triple, omega, phi,
+                                                            testfn=name))
+    if sec.lipschitz:
+        phi = phis[0][1]
+        for label, eta, bound in catalog.lipschitz_entries(sec.dim, sec.points,
+                                                           sec.half_width):
+            for omega in sec.omegas:
+                reports.append(
+                    verify_lipschitz_commutator(eta, bound, triples[0], omega, phi,
+                                                testfn=label)
+                )
+    return _report_table(ESTIMATE_COLUMNS, reports)
+
+
+def run_constants(sec: config.ConstantsSection, seed: int = 0):
+    rows = [
+        [
+            str(sec.dim), str(m), format_exponent(r), format_value(theta),
+            format_value(constant_A(sec.dim, m, r, theta)),
+            format_value(constant_A_tilde(sec.dim, m, r, theta)),
+        ]
+        for m in sec.m_values for r in sec.r_values for theta in sec.thetas
+    ]
+    return ["n", "m", "r", "theta", "A", "A_tilde"], rows, True
+
+
+def run_kernel_norms(sec: config.KernelNormsSection, seed: int = 0):
+    rows, ok = [], True
+    for beta in sec.betas:
+        for r in sec.r_values:
+            for theta in sec.thetas:
+                rep = kernel_moment_bound_report(beta, theta, r, sec.points, sec.half_width)
+                ok = ok and rep.passed
+                rows.append([
+                    beta.to_str(), format_exponent(r), format_value(theta),
+                    format_value(rep.lhs), format_value(rep.rhs),
+                    format_value(rep.passed),
+                ])
+    return ["beta", "r", "theta", "norm", "bound", "pass"], rows, ok
 
 
 def cmd_hermite(args) -> int:
@@ -85,60 +152,48 @@ def cmd_verify_identity(args) -> int:
         raise ConfigError("need |alpha| >= 1")
     omega = config.check_omega(config.parse_complex(args.omega))
     points, half_width = config.parse_grid(args.grid)
-    spec = catalog.get_entry(args.testfn)
-    phi = _realize(spec, alpha.dim, points, half_width)
-    reports = identity_reports(alpha, omega, phi, testfn=args.testfn,
-                               tol=args.tolerance)
+    sec = config.IdentitySection(
+        dim=alpha.dim, points=points, half_width=half_width, alphas=(alpha,),
+        omegas=(omega,), testfns=(args.testfn,), tolerance=args.tolerance,
+    )
+    columns, rows, ok = run_identity(sec)
     if args.with_shift:
-        for j in range(1, alpha.dim + 1):
-            reports.append(
-                lemma_B2_identity(alpha, j, omega, phi, testfn=args.testfn,
-                                  tol=args.tolerance)
-            )
+        phi = catalog.realize_checked(args.testfn, alpha.dim, points, half_width)
+        shifts = [
+            lemma_B2_identity(alpha, j, omega, phi, testfn=args.testfn,
+                              tol=args.tolerance)
+            for j in range(1, alpha.dim + 1)
+        ]
+        rows += [r.row(columns) for r in shifts]
+        ok = ok and all(r.passed for r in shifts)
     tag = config_hash(f"verify-identity {args.alpha} {args.omega} "
                       f"{args.testfn} {args.grid} {args.tolerance}")
-    _emit(render_csv(IDENTITY_COLUMNS, [r.row(IDENTITY_COLUMNS) for r in reports], tag),
-          args.out)
-    return _EXIT_PASS if all(r.passed for r in reports) else _EXIT_FAIL
+    return _finish(columns, rows, ok, tag, args.out)
 
 
 def cmd_verify_estimate(args) -> int:
     omega = config.check_omega(config.parse_complex(args.omega))
     points, half_width = config.parse_grid(args.grid)
-    triple = ExponentTriple(config.parse_exponent(args.p), config.parse_exponent(args.q))
-    spec = catalog.get_entry(args.testfn)
-    phi = _realize(spec, args.dim, points, half_width)
-    reports = [verify_theorem_1_2(args.m, triple, omega, phi, testfn=args.testfn)]
-    if args.radial:
-        reports.append(verify_radial_remark(args.m, triple, omega, phi,
-                                            testfn=args.testfn))
+    sec = config.EstimateSection(
+        dim=args.dim, points=points, half_width=half_width, m_values=(args.m,),
+        pq_pairs=((config.parse_exponent(args.p), config.parse_exponent(args.q)),),
+        omegas=(omega,), testfns=(args.testfn,), radial=args.radial,
+        lipschitz=False,
+    )
     tag = config_hash(f"verify-estimate {args.dim} {args.m} {args.p} {args.q} "
                       f"{args.omega} {args.testfn} {args.grid}")
-    _emit(render_csv(ESTIMATE_COLUMNS, [r.row(ESTIMATE_COLUMNS) for r in reports], tag),
-          args.out)
-    return _EXIT_PASS if all(r.passed for r in reports) else _EXIT_FAIL
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    return _finish(*run_estimate(sec), tag, args.out)
 
 
 def cmd_constants(args) -> int:
-    n = args.n
-    m_values = [int(v) for v in args.m_list.split(",")]
-    r_values = [config.parse_exponent(v) for v in args.r_list.split(",")]
-    thetas = [config.check_theta(v) for v in _parse_float_list(args.theta_list)]
-    columns = ["n", "m", "r", "theta", "A", "A_tilde"]
-    rows = []
-    for m in m_values:
-        for r in r_values:
-            for theta in thetas:
-                rows.append([
-                    str(n), str(m), format_exponent(r), format_value(theta),
-                    format_value(constant_A(n, m, r, theta)),
-                    format_value(constant_A_tilde(n, m, r, theta)),
-                ])
-    tag = config_hash(f"constants {n} {args.m_list} {args.r_list} {args.theta_list}")
+    sec = config.ConstantsSection(
+        dim=args.n,
+        m_values=tuple(int(v) for v in args.m_list.split(",")),
+        r_values=tuple(config.parse_exponent(v) for v in args.r_list.split(",")),
+        thetas=config.parse_thetas(args.theta_list),
+    )
+    columns, rows, _ = run_constants(sec)
+    tag = config_hash(f"constants {args.n} {args.m_list} {args.r_list} {args.theta_list}")
     if args.out:
         write_atomic(args.out, render_csv(columns, rows, tag))
     else:
@@ -151,25 +206,16 @@ def cmd_constants(args) -> int:
 
 def cmd_kernel_norms(args) -> int:
     points, half_width = config.parse_grid(args.grid)
-    betas = [config.parse_multiindex(b) for b in args.beta_list.split(",")]
-    r_values = [config.parse_exponent(v) for v in args.r_list.split(",")]
-    thetas = [config.check_theta(v) for v in _parse_float_list(args.theta_list)]
-    columns = ["beta", "r", "theta", "norm", "bound", "pass"]
-    rows, ok = [], True
-    for beta in betas:
-        for r in r_values:
-            for theta in thetas:
-                rep = kernel_moment_bound_report(beta, theta, r, points, half_width)
-                ok = ok and rep.passed
-                rows.append([
-                    beta.to_str(), format_exponent(r), format_value(theta),
-                    format_value(rep.lhs), format_value(rep.rhs),
-                    format_value(rep.passed),
-                ])
+    sec = config.KernelNormsSection(
+        points=points,
+        half_width=half_width,
+        betas=tuple(config.parse_multiindex(b) for b in args.beta_list.split(",")),
+        r_values=tuple(config.parse_exponent(v) for v in args.r_list.split(",")),
+        thetas=config.parse_thetas(args.theta_list),
+    )
     tag = config_hash(f"kernel-norms {args.beta_list} {args.r_list} "
                       f"{args.theta_list} {args.grid}")
-    _emit(render_csv(columns, rows, tag), args.out)
-    return _EXIT_PASS if ok else _EXIT_FAIL
+    return _finish(*run_kernel_norms(sec), tag, args.out)
 
 
 def _build_cgl_config(section: config.CGLSection) -> CGLConfig:
@@ -222,7 +268,7 @@ def _run_cgl(section: config.CGLSection, prefix: str, tag: str) -> int:
 
 def _gnuplot_script(prefix: str, m: int, tag: str) -> str:
     return "\n".join([
-        f"# gw-commute {__version__} {tag}",
+        footer_line(tag),
         'set datafile separator ","',
         "set key left bottom",
         "set logscale xy",
@@ -256,87 +302,12 @@ def cmd_cgl(args) -> int:
     return _run_cgl(section, args.out, tag)
 
 
-def _suite_identity(cfg: SuiteConfig, tag: str, out_dir: str) -> bool:
-    sec = cfg.identity
-    reports = []
-    for name in sec.testfns:
-        phi = _realize(catalog.get_entry(name), sec.dim, sec.points,
-                       sec.half_width, seed_offset=cfg.seed)
-        for alpha in sec.alphas:
-            for omega in sec.omegas:
-                reports.extend(
-                    identity_reports(alpha, omega, phi, testfn=name,
-                                     tol=sec.tolerance)
-                )
-    rows = [r.row(IDENTITY_COLUMNS) for r in reports]
-    write_atomic(f"{out_dir}/identity.csv", render_csv(IDENTITY_COLUMNS, rows, tag))
-    return all(r.passed for r in reports)
-
-
-def _suite_estimate(cfg: SuiteConfig, tag: str, out_dir: str) -> bool:
-    sec = cfg.estimate
-    reports = []
-    for name in sec.testfns:
-        phi = _realize(catalog.get_entry(name), sec.dim, sec.points,
-                       sec.half_width, seed_offset=cfg.seed)
-        for m in sec.m_values:
-            for p, q in sec.pq_pairs:
-                triple = ExponentTriple(p, q)
-                for omega in sec.omegas:
-                    reports.append(verify_theorem_1_2(m, triple, omega, phi,
-                                                      testfn=name))
-                    if sec.radial:
-                        reports.append(verify_radial_remark(m, triple, omega, phi,
-                                                            testfn=name))
-    if sec.lipschitz:
-        entries = catalog.lipschitz_entries(sec.dim, sec.points, sec.half_width)
-        phi = _realize(catalog.get_entry(sec.testfns[0]), sec.dim, sec.points,
-                       sec.half_width, seed_offset=cfg.seed)
-        p, q = sec.pq_pairs[0]
-        triple = ExponentTriple(p, q)
-        for label, eta, bound in entries:
-            for omega in sec.omegas:
-                reports.append(
-                    verify_lipschitz_commutator(eta, bound, triple, omega, phi,
-                                                testfn=label)
-                )
-    rows = [r.row(ESTIMATE_COLUMNS) for r in reports]
-    write_atomic(f"{out_dir}/estimate.csv", render_csv(ESTIMATE_COLUMNS, rows, tag))
-    return all(r.passed for r in reports)
-
-
-def _suite_constants(cfg: SuiteConfig, tag: str, out_dir: str) -> bool:
-    sec = cfg.constants
-    columns = ["n", "m", "r", "theta", "A", "A_tilde"]
-    rows = []
-    for m in sec.m_values:
-        for r in sec.r_values:
-            for theta in sec.thetas:
-                rows.append([
-                    str(sec.dim), str(m), format_exponent(r), format_value(theta),
-                    format_value(constant_A(sec.dim, m, r, theta)),
-                    format_value(constant_A_tilde(sec.dim, m, r, theta)),
-                ])
-    write_atomic(f"{out_dir}/constants.csv", render_csv(columns, rows, tag))
-    return True
-
-
-def _suite_kernel_norms(cfg: SuiteConfig, tag: str, out_dir: str) -> bool:
-    sec = cfg.kernel_norms
-    columns = ["beta", "r", "theta", "norm", "bound", "pass"]
-    rows, ok = [], True
-    for beta in sec.betas:
-        for r in sec.r_values:
-            for theta in sec.thetas:
-                rep = kernel_moment_bound_report(beta, theta, r, sec.points, sec.half_width)
-                ok = ok and rep.passed
-                rows.append([
-                    beta.to_str(), format_exponent(r), format_value(theta),
-                    format_value(rep.lhs), format_value(rep.rhs),
-                    format_value(rep.passed),
-                ])
-    write_atomic(f"{out_dir}/kernel_norms.csv", render_csv(columns, rows, tag))
-    return ok
+HARNESSES = {
+    "identity": (run_identity, "identity.csv"),
+    "estimate": (run_estimate, "estimate.csv"),
+    "constants": (run_constants, "constants.csv"),
+    "kernel-norms": (run_kernel_norms, "kernel_norms.csv"),
+}
 
 
 def cmd_suite(args) -> int:
@@ -344,11 +315,7 @@ def cmd_suite(args) -> int:
         with open(args.config) as fh:
             text = fh.read()
     else:
-        text = (
-            resources.files("gwcommute")
-            .joinpath("data/default_suite.cfg")
-            .read_text()
-        )
+        text = resources.files("gwcommute").joinpath("data/default_suite.cfg").read_text()
     cfg = parse_suite_config(text)
     tag = config_hash(cfg.raw_text)
     if not cfg.harnesses:
@@ -356,16 +323,13 @@ def cmd_suite(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     ok = True
     for name in cfg.harnesses:
-        if name == "identity":
-            good = _suite_identity(cfg, tag, args.out_dir)
-        elif name == "estimate":
-            good = _suite_estimate(cfg, tag, args.out_dir)
-        elif name == "constants":
-            good = _suite_constants(cfg, tag, args.out_dir)
-        elif name == "kernel-norms":
-            good = _suite_kernel_norms(cfg, tag, args.out_dir)
+        section = getattr(cfg, name.replace("-", "_"))
+        if name == "cgl":
+            good = _run_cgl(section, f"{args.out_dir}/cgl", tag) == _EXIT_PASS
         else:
-            good = _run_cgl(cfg.cgl, f"{args.out_dir}/cgl", tag) == _EXIT_PASS
+            runner, artifact = HARNESSES[name]
+            columns, rows, good = runner(section, cfg.seed)
+            write_atomic(f"{args.out_dir}/{artifact}", render_csv(columns, rows, tag))
         print(f"suite harness {name}: {'pass' if good else 'FAIL'}")
         ok = ok and good
     return _EXIT_PASS if ok else _EXIT_FAIL

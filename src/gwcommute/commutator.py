@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .grid import GridFunction, lp_norm, rel_l2_error, weight_multiply
+from .grid import GridFunction, lp_norm, weight_multiply
 from .multiindex import (
     MultiIndex,
     enumerate_dominated,

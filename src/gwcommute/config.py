@@ -81,6 +81,11 @@ def check_theta(theta: float) -> float:
     return theta
 
 
+def parse_thetas(text: str) -> tuple[float, ...]:
+    """Comma-separated angles, each checked by check_theta; empty items skipped."""
+    return tuple(check_theta(float(v)) for v in _split(text, ","))
+
+
 def check_omega(omega: complex) -> complex:
     if omega.real <= 0:
         raise ConfigError(f"omega must have positive real part, got {omega}")
@@ -262,7 +267,7 @@ def parse_suite_config(text: str) -> SuiteConfig:
             dim=dim,
             m_values=tuple(int(v) for v in _split(sec.get("m_values", "1,2"), ",")),
             r_values=tuple(parse_exponent(v) for v in _split(sec.get("r_values", "1,2,inf"), ",")),
-            thetas=tuple(check_theta(float(v)) for v in _split(sec.get("thetas", "0"), ",")),
+            thetas=parse_thetas(sec.get("thetas", "0")),
         )
 
     kernel_norms = None
@@ -274,7 +279,7 @@ def parse_suite_config(text: str) -> SuiteConfig:
             half_width=half_width,
             betas=tuple(parse_multiindex(b) for b in _split(sec.get("betas", "1"), ",")),
             r_values=tuple(parse_exponent(v) for v in _split(sec.get("r_values", "1"), ",")),
-            thetas=tuple(check_theta(float(v)) for v in _split(sec.get("thetas", "0"), ",")),
+            thetas=parse_thetas(sec.get("thetas", "0")),
         )
 
     cgl = None

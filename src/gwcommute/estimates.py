@@ -30,7 +30,7 @@ from .grid import (
 from .multiindex import MultiIndex, enumerate_level
 from .parallel import ordered_map
 from .reporting import EstimateReport, format_exponent, format_value
-from .semigroup import ComplexParam, apply_fourier, as_omega, weighted_kernel_grid
+from .semigroup import ComplexParam, apply_fourier, weighted_kernel_grid
 
 
 def _reciprocal(p: float) -> float:

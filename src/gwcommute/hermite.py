@@ -259,17 +259,19 @@ def reconstruct_monomial(alpha: MultiIndex) -> HermitePoly:
     return total
 
 
-def gaussian_kernel_point(omega: complex, x) -> complex:
-    """G_w(x) = (4 pi w)^{-n/2} exp(-|x|^2 / (4w)), principal branch.
+def gaussian_log_prefactor(omega: complex, dim: int) -> complex:
+    """log (4 pi w)^{-n/2} via the principal log of 4 pi w, the analytic
+    continuation from w > 0 across re w > 0; angle atan2(im w, re w)."""
+    theta = math.atan2(omega.imag, omega.real)
+    return -0.5 * dim * (math.log(4.0 * math.pi * abs(omega)) + 1j * theta)
 
-    The prefactor uses the principal logarithm of 4 pi w, which is the
-    analytic continuation from w > 0 across re w > 0.
-    """
+
+def gaussian_kernel_point(omega: complex, x) -> complex:
+    """G_w(x) = (4 pi w)^{-n/2} exp(-|x|^2 / (4w)), principal branch."""
     if omega == 0:
         raise ValueError("omega must be nonzero")
     coords = np.atleast_1d(np.asarray(x, dtype=float))
-    n = coords.size
-    log_pref = -0.5 * n * (math.log(4.0 * math.pi * abs(omega)) + 1j * np.angle(omega))
+    log_pref = gaussian_log_prefactor(omega, coords.size)
     return complex(np.exp(log_pref - float(coords @ coords) / (4.0 * omega)))
 
 

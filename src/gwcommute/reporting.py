@@ -110,11 +110,6 @@ def render_csv(columns: list[str], rows: list[list[str]], cfg_hash: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report_csv(path, columns: list[str], reports, cfg_hash: str) -> None:
-    rows = [r.row(columns) for r in reports]
-    write_atomic(path, render_csv(columns, rows, cfg_hash))
-
-
 IDENTITY_COLUMNS = ["alpha", "omega_re", "omega_im", "pair", "rel_l2_err", "pass"]
 ESTIMATE_COLUMNS = [
     "n", "m", "p", "q", "r",

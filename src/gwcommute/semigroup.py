@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction
-from .hermite import gaussian_kernel_point
+from .hermite import gaussian_kernel_point, gaussian_log_prefactor
 from .multiindex import MultiIndex, zero
 
 # Work guard for the quadrature oracle: it exists for cross-validation, not
@@ -70,22 +70,15 @@ def _axis_gaussian(omega: complex, t: np.ndarray) -> np.ndarray:
     The prefactor angle is -theta/2 with theta in (-pi/2, pi/2), so taking
     the n-fold product reproduces the principal (4 pi w)^{-n/2} exactly.
     """
-    theta = math.atan2(omega.imag, omega.real)
-    pref = np.exp(-0.5 * (math.log(4.0 * math.pi * abs(omega)) + 1j * theta))
+    pref = np.exp(gaussian_log_prefactor(omega, 1))
     return pref * np.exp(-np.square(t) / (4.0 * omega))
 
 
 def kernel_grid(omega, dim: int, points: int, half_width: float) -> GridFunction:
     """Samples of G_w on the standard grid."""
-    w = as_omega(omega)
-    if w == 0:
+    if as_omega(omega) == 0:
         raise ValueError("omega must be nonzero")
-    template = GridFunction(dim, points, half_width, np.zeros((points,) * dim))
-    axis_factor = _axis_gaussian(w, template.axis())
-    samples = axis_factor
-    for _ in range(dim - 1):
-        samples = np.multiply.outer(samples, axis_factor)
-    return template.with_samples(samples)
+    return weighted_kernel_grid(zero(dim), omega, points, half_width)
 
 
 def weighted_kernel_grid(beta: MultiIndex, omega, points: int,
@@ -109,7 +102,8 @@ def frequencies(points: int, half_width: float) -> np.ndarray:
     return 2.0 * math.pi * np.fft.fftfreq(points, d=spacing)
 
 
-def _xi_squared(phi: GridFunction) -> np.ndarray:
+def xi_squared(phi: GridFunction) -> np.ndarray:
+    """|xi|^2 on the frequency grid of phi, FFT order."""
     xi = frequencies(phi.points, phi.half_width)
     total = np.zeros((phi.points,) * phi.dim)
     for axis in range(phi.dim):
@@ -130,7 +124,7 @@ def apply_fourier(phi: GridFunction, omega) -> GridFunction:
     if w == 0:
         return phi
     spectrum = np.fft.fftn(phi.samples)
-    spectrum *= np.exp(-w * _xi_squared(phi))
+    spectrum *= np.exp(-w * xi_squared(phi))
     return phi.with_samples(np.fft.ifftn(spectrum))
 
 
@@ -182,26 +176,3 @@ def convolve_weighted_kernel(beta: MultiIndex, omega, phi: GridFunction) -> Grid
 def apply_direct(phi: GridFunction, omega) -> GridFunction:
     """Quadrature oracle for e^{w*Laplacian} phi (see convolve_weighted_kernel)."""
     return convolve_weighted_kernel(zero(phi.dim), omega, phi)
-
-
-def apply_direct_naive(phi: GridFunction, omega) -> GridFunction:
-    """Literal O(N^{2n}) double loop over grid points; tiny grids only.
-
-    Exists to pin down that the Toeplitz restructuring changes nothing.
-    """
-    w = as_omega(omega)
-    if w.real <= 0.0:
-        raise ValueError(f"re omega must be positive, got {w}")
-    if phi.points**phi.dim > 4096:
-        raise ValueError("naive oracle restricted to <= 4096 samples")
-    mesh = phi.meshgrid()
-    coords = np.stack([m.ravel() for m in mesh], axis=1)
-    values = phi.samples.ravel()
-    out = np.empty(values.size, dtype=np.complex128)
-    for i, xi_point in enumerate(coords):
-        diffs = xi_point[None, :] - coords
-        log_like = -np.sum(np.square(diffs), axis=1) / (4.0 * w)
-        theta = math.atan2(w.imag, w.real)
-        pref = np.exp(-0.5 * phi.dim * (math.log(4.0 * math.pi * abs(w)) + 1j * theta))
-        out[i] = phi.cell_volume * np.sum(pref * np.exp(log_like) * values)
-    return phi.with_samples(out.reshape(phi.samples.shape))

@@ -11,9 +11,9 @@ from gwcommute.catalog import (
     TestFunctionSpec,
     get_entry,
     lipschitz_entries,
+    mollified_weight,
     realize_checked,
 )
-from gwcommute.cgl import mollified_weight
 from gwcommute.grid import boundary_mass_fraction
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,11 +12,15 @@ from gwcommute.cgl import (
     fit_loglog_slope,
     ratio_bounded,
     simulate,
-    step_duhamel,
     weighted_records,
 )
 from gwcommute.grid import from_callable, lp_norm, rel_l2_error
 from gwcommute.semigroup import apply_fourier
+
+
+def step_duhamel(u, cfg, dt):
+    """One exponential-midpoint step of size dt (second-order local accuracy)."""
+    return simulate(dataclasses.replace(cfg, u0=u, dt=dt, horizon=dt)).states[-1]
 
 
 def small_gaussian(eps=0.01, sigma=1.0, points=1024, half_width=32.0):

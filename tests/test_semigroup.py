@@ -8,7 +8,7 @@ from gwcommute.multiindex import MultiIndex
 from gwcommute.semigroup import (
     ComplexParam,
     apply_direct,
-    apply_direct_naive,
+    as_omega,
     apply_fourier,
     convolve_weighted_kernel,
     frequencies,
@@ -17,6 +17,29 @@ from gwcommute.semigroup import (
     spectral_derivative,
     weighted_kernel_grid,
 )
+
+
+def apply_direct_naive(phi, omega):
+    """Literal O(N^{2n}) double loop over grid points; tiny grids only.
+
+    Exists to pin down that the Toeplitz restructuring changes nothing.
+    """
+    w = as_omega(omega)
+    if w.real <= 0.0:
+        raise ValueError(f"re omega must be positive, got {w}")
+    if phi.points**phi.dim > 4096:
+        raise ValueError("naive oracle restricted to <= 4096 samples")
+    mesh = phi.meshgrid()
+    coords = np.stack([m.ravel() for m in mesh], axis=1)
+    values = phi.samples.ravel()
+    out = np.empty(values.size, dtype=np.complex128)
+    for i, xi_point in enumerate(coords):
+        diffs = xi_point[None, :] - coords
+        log_like = -np.sum(np.square(diffs), axis=1) / (4.0 * w)
+        theta = math.atan2(w.imag, w.real)
+        pref = np.exp(-0.5 * phi.dim * (math.log(4.0 * math.pi * abs(w)) + 1j * theta))
+        out[i] = phi.cell_volume * np.sum(pref * np.exp(log_like) * values)
+    return phi.with_samples(out.reshape(phi.samples.shape))
 
 
 def gaussian_grid(omega, points=512, half_width=16.0, dim=1):
