@@ -5,7 +5,8 @@
                              R_a(w)phi = sum_{b+g=a, b!=0} sum_{2k<=b}
                                  a!/(g! k! (b-2k)!) w^{|k|} (-2w d)^{b-2k}
                                  e^{wD}(x^g phi)
-                             with spectral derivatives
+                             with spectral derivatives, one transform
+                             per distinct gamma
     evaluate_R_convolution   the regrouped convolution form
                              sum_{b+g=a, b!=0} a!/(b! g!) (x^b G_w) * (x^g phi)
                              by exact-kernel quadrature, no DFT
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import groupby
 
 from .grid import GridFunction, lp_norm, weight_multiply
 from .multiindex import (
@@ -31,7 +33,7 @@ from .semigroup import (
     apply_fourier,
     as_omega,
     convolve_weighted_kernel,
-    spectral_derivative,
+    spectral_derivatives,
 )
 
 IDENTITY_TOL = 1e-6
@@ -102,15 +104,25 @@ def _ordered_sum(parts: list[GridFunction]) -> GridFunction:
 
 
 def evaluate_R_theorem(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunction:
-    """R_alpha(w) phi with each term through the Fourier multiplier path."""
+    """R_alpha(w) phi with each term through the Fourier multiplier path.
+
+    The terms sharing gamma act on one flowed field e^{wD}(x^gamma phi),
+    which is computed and transformed once; each term then applies its own
+    derivative multiplier.  The terms are summed in expand_R_terms order.
+    """
     w = as_omega(omega)
-    terms = expand_R_terms(alpha)
+    groups = [list(terms) for _, terms in groupby(expand_R_terms(alpha),
+                                                  key=lambda t: t.gamma)]
 
-    def one_term(term: CommutatorTerm) -> GridFunction:
-        flowed = apply_fourier(weight_multiply(phi, term.gamma), w)
-        return term.scale(w) * spectral_derivative(flowed, term.delta)
+    def one_group(terms: list[CommutatorTerm]) -> list[GridFunction]:
+        flowed = apply_fourier(weight_multiply(phi, terms[0].gamma), w)
+        derivatives = spectral_derivatives(flowed, [t.delta for t in terms])
+        # next() inline, not a zip: each unscaled derivative is freed once
+        # scaled, before the next one is made (peak memory)
+        return [t.scale(w) * next(derivatives) for t in terms]
 
-    return _ordered_sum(ordered_map(one_term, terms))
+    return _ordered_sum([part for parts in ordered_map(one_group, groups)
+                         for part in parts])
 
 
 def convolution_pairs(alpha: MultiIndex) -> list[tuple[MultiIndex, MultiIndex, int]]:

@@ -29,9 +29,12 @@ def parse_complex(text: str) -> complex:
     if len(parts) != 2:
         raise ConfigError(f"complex value must be RE,IM, got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        value = complex(float(parts[0]), float(parts[1]))
     except ValueError:
         raise ConfigError(f"bad complex value {text!r}")
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ConfigError(f"complex value must be finite, got {text!r}")
+    return value
 
 
 def parse_exponent(text: str) -> float:
@@ -42,7 +45,7 @@ def parse_exponent(text: str) -> float:
         value = float(text)
     except ValueError:
         raise ConfigError(f"bad exponent {text!r}")
-    if value < 1.0:
+    if math.isnan(value) or value < 1.0:
         raise ConfigError(f"exponent must be in [1, inf], got {text!r}")
     return value
 
@@ -68,8 +71,8 @@ def parse_grid(text: str) -> tuple[int, float]:
         raise ConfigError(f"bad grid {text!r}")
     if points < 8 or points & (points - 1):
         raise ConfigError(f"grid points must be a power of two >= 8, got {points}")
-    if half_width <= 0:
-        raise ConfigError("grid half-width must be positive")
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise ConfigError(f"grid half-width must be finite and positive, got {text!r}")
     return points, half_width
 
 
@@ -87,6 +90,8 @@ def parse_thetas(text: str) -> tuple[float, ...]:
 
 
 def check_omega(omega: complex) -> complex:
+    if not (math.isfinite(omega.real) and math.isfinite(omega.imag)):
+        raise ConfigError(f"omega must be finite, got {omega}")
     if omega.real <= 0:
         raise ConfigError(f"omega must have positive real part, got {omega}")
     return omega

@@ -116,13 +116,22 @@ def rel_l2_error(result: GridFunction, reference: GridFunction, floor: float = 1
     return lp_norm(result - reference, 2.0) / max(lp_norm(reference, 2.0), floor)
 
 
+def _open_mesh(phi: GridFunction) -> list[np.ndarray]:
+    """The axis coordinates shaped to broadcast against the samples.
+
+    Powers of these are taken on N values per axis, not N^n; broadcasting
+    then yields the same samples the full meshgrid would.
+    """
+    return list(np.meshgrid(*([phi.axis()] * phi.dim), indexing="ij", sparse=True))
+
+
 def weight_multiply(phi: GridFunction, alpha: MultiIndex) -> GridFunction:
     """Pointwise x^alpha * phi."""
     if alpha.dim != phi.dim:
         raise ValueError(f"weight dimension {alpha.dim} != grid dimension {phi.dim}")
     if alpha.order == 0:
         return phi
-    mesh = phi.meshgrid()
+    mesh = _open_mesh(phi)
     weight = np.ones_like(mesh[0])
     for axis_coord, power in zip(mesh, alpha):
         if power:
@@ -136,7 +145,7 @@ def weight_multiply_radial(phi: GridFunction, m: int) -> GridFunction:
         raise ValueError("radial weight power must be >= 0")
     if m == 0:
         return phi
-    mesh = phi.meshgrid()
+    mesh = _open_mesh(phi)
     radius_sq = sum(c**2 for c in mesh)
     return phi.with_samples(radius_sq ** (m / 2.0) * phi.samples)
 

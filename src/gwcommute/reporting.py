@@ -12,6 +12,7 @@ give byte-identical files.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -95,9 +96,15 @@ def write_atomic(path, text: str) -> None:
     """Write whole-file text via temp file + rename; no partial artifacts."""
     path = os.fspath(path)
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        # The original error is the one to report, not a failed cleanup.
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def render_csv(columns: list[str], rows: list[list[str]], cfg_hash: str) -> str:

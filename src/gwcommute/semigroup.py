@@ -7,15 +7,17 @@ basis).  apply_direct is the quadrature oracle: the plain sum
 
 with the kernel evaluated exactly, no periodic extension.  The kernel
 factorizes per axis, so the oracle is applied as one Toeplitz matrix per
-axis; that reorders no terms across axes and keeps the cost at
-O(n N^{n+1}) instead of O(N^{2n}).
+axis, gathered from its 2N-1 distinct entries; that reorders no terms
+across axes and keeps the cost at O(n N^{n+1}) instead of O(N^{2n}).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import GridFunction
 from .hermite import gaussian_kernel_point, gaussian_log_prefactor
@@ -102,15 +104,30 @@ def frequencies(points: int, half_width: float) -> np.ndarray:
     return 2.0 * math.pi * np.fft.fftfreq(points, d=spacing)
 
 
-def xi_squared(phi: GridFunction) -> np.ndarray:
-    """|xi|^2 on the frequency grid of phi, FFT order."""
-    xi = frequencies(phi.points, phi.half_width)
-    total = np.zeros((phi.points,) * phi.dim)
-    for axis in range(phi.dim):
-        shape = [1] * phi.dim
-        shape[axis] = phi.points
+def _xi_squared(dim: int, points: int, half_width: float) -> np.ndarray:
+    xi = frequencies(points, half_width)
+    total = np.zeros((points,) * dim)
+    for axis in range(dim):
+        shape = [1] * dim
+        shape[axis] = points
         total = total + np.square(xi).reshape(shape)
     return total
+
+
+def xi_squared(phi: GridFunction) -> np.ndarray:
+    """|xi|^2 on the frequency grid of phi, FFT order."""
+    return _xi_squared(phi.dim, phi.points, phi.half_width)
+
+
+# One entry: an evaluator applies one omega many times in a row, and a
+# sweep cycles through its omegas, so a few more entries would still miss
+# once per case unless they held every omega, at N^n complex values each.
+@lru_cache(maxsize=1)
+def _heat_multiplier(dim: int, points: int, half_width: float, w: complex) -> np.ndarray:
+    """exp(-w |xi|^2), read-only because every caller shares it."""
+    multiplier = np.exp(-w * _xi_squared(dim, points, half_width))
+    multiplier.setflags(write=False)
+    return multiplier
 
 
 def apply_fourier(phi: GridFunction, omega) -> GridFunction:
@@ -124,24 +141,50 @@ def apply_fourier(phi: GridFunction, omega) -> GridFunction:
     if w == 0:
         return phi
     spectrum = np.fft.fftn(phi.samples)
-    spectrum *= np.exp(-w * xi_squared(phi))
+    spectrum *= _heat_multiplier(phi.dim, phi.points, phi.half_width, w)
     return phi.with_samples(np.fft.ifftn(spectrum))
+
+
+def _derivative_spectrum(spectrum: np.ndarray, delta: MultiIndex, xi: np.ndarray) -> np.ndarray:
+    """spectrum * prod_j (i xi_j)^{delta_j}, as a new array.
+
+    Its own function so that the intermediate products are freed before
+    the caller transforms the result.
+    """
+    for axis, d in enumerate(delta):
+        if d:
+            shape = [1] * delta.dim
+            shape[axis] = xi.size
+            spectrum = spectrum * (1j * xi).reshape(shape) ** d
+    return spectrum
+
+
+def spectral_derivatives(phi: GridFunction, deltas):
+    """Yield d^delta phi for each delta in turn, from one transform of phi.
+
+    Each derivative is the multiplier prod_j (i xi_j)^{delta_j} applied to
+    that shared spectrum, then its own inverse transform.  A caller that
+    consumes each derivative before asking for the next holds only one.
+    The index dimensions are checked when the first derivative is asked for.
+    """
+    deltas = list(deltas)
+    for delta in deltas:
+        if delta.dim != phi.dim:
+            raise ValueError(f"derivative index dim {delta.dim} != grid dim {phi.dim}")
+    xi = frequencies(phi.points, phi.half_width)
+    spectrum = None
+    for delta in deltas:
+        if delta.order == 0:
+            yield phi
+            continue
+        if spectrum is None:
+            spectrum = np.fft.fftn(phi.samples)
+        yield phi.with_samples(np.fft.ifftn(_derivative_spectrum(spectrum, delta, xi)))
 
 
 def spectral_derivative(phi: GridFunction, delta: MultiIndex) -> GridFunction:
     """d^delta phi via the multiplier prod_j (i xi_j)^{delta_j}."""
-    if delta.dim != phi.dim:
-        raise ValueError(f"derivative index dim {delta.dim} != grid dim {phi.dim}")
-    if delta.order == 0:
-        return phi
-    xi = frequencies(phi.points, phi.half_width)
-    spectrum = np.fft.fftn(phi.samples)
-    for axis, d in enumerate(delta):
-        if d:
-            shape = [1] * phi.dim
-            shape[axis] = phi.points
-            spectrum = spectrum * (1j * xi).reshape(shape) ** d
-    return phi.with_samples(np.fft.ifftn(spectrum))
+    return next(spectral_derivatives(phi, [delta]))
 
 
 def _oracle_guard(phi: GridFunction) -> None:
@@ -163,12 +206,16 @@ def convolve_weighted_kernel(beta: MultiIndex, omega, phi: GridFunction) -> Grid
     if beta.dim != phi.dim:
         raise ValueError(f"weight dim {beta.dim} != grid dim {phi.dim}")
     _oracle_guard(phi)
-    x = phi.axis()
-    diff = x[:, None] - x[None, :]
-    base = _axis_gaussian(w, diff)
+    n = phi.points
+    # The 2N-1 lattice offsets (i - j) h; on a dyadic box they equal the
+    # differences x_i - x_j exactly.
+    offsets = phi.spacing * np.arange(-(n - 1), n)
+    base = _axis_gaussian(w, offsets)
     out = phi.samples
     for axis, b in enumerate(beta):
-        matrix = base * diff**b if b else base
+        row = base * offsets**b if b else base
+        # matrix[i, j] = row[n - 1 + i - j]: the Toeplitz matrix of the row.
+        matrix = np.ascontiguousarray(sliding_window_view(row[::-1], n)[::-1])
         out = np.moveaxis(np.tensordot(matrix, out, axes=([1], [axis])), 0, axis)
     return phi.with_samples(phi.cell_volume * out)
 

@@ -9,7 +9,6 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 
 from gwcommute.catalog import (
     GaussianComponent,

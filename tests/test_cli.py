@@ -109,6 +109,10 @@ def test_verify_identity_impossible_tolerance_exits_1(tmp_path):
       "--testfn", "gauss-tall"], "catalog"),
     (["verify-identity", "--alpha", "1", "--omega", "1,0",
       "--testfn", "gauss-wide", "--grid", "300,16"], "power of two"),
+    (["verify-identity", "--alpha", "1", "--omega", "nan,0",
+      "--testfn", "gauss-wide"], "complex value must be finite"),
+    (["verify-identity", "--alpha", "1", "--omega", "1,0",
+      "--testfn", "gauss-wide", "--grid", "64,inf"], "half-width must be finite"),
 ])
 def test_verify_identity_config_errors(capsys, argv, message):
     assert main(argv) == 2

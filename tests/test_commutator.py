@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from gwcommute.commutator import (
     identity_reports,
     lemma_B2_identity,
 )
-from gwcommute.grid import from_callable, lp_norm, rel_l2_error, weight_multiply
+from gwcommute.grid import GridFunction, from_callable, lp_norm, rel_l2_error, weight_multiply
 from gwcommute.hermite import hermite_closed_form
 from gwcommute.laurent import LaurentPoly
 from gwcommute.multiindex import MultiIndex, enumerate_up_to, factorial
-from gwcommute.semigroup import apply_fourier, kernel, spectral_derivative
+from gwcommute.semigroup import apply_fourier, as_omega, kernel, spectral_derivative
 
 
 def gaussian_grid(omega, points=512, half_width=16.0):
@@ -28,6 +29,25 @@ def gaussian_grid(omega, points=512, half_width=16.0):
         points,
         half_width,
     )
+
+
+def evaluate_R_theorem_per_term(alpha, omega, phi):
+    """The theorem evaluator one term at a time: every term flows and
+    transforms its own x^gamma phi, and the terms are summed in order."""
+    w = as_omega(omega)
+    parts = [
+        term.scale(w)
+        * spectral_derivative(apply_fourier(weight_multiply(phi, term.gamma), w), term.delta)
+        for term in expand_R_terms(alpha)
+    ]
+    return reduce(lambda a, b: a + b, parts)
+
+
+def random_grid(dim, points, half_width=16.0, seed=7):
+    rng = np.random.default_rng(seed)
+    shape = (points,) * dim
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return GridFunction(dim, points, half_width, samples)
 
 
 def term_tuple(t):
@@ -124,6 +144,39 @@ def test_degree_one_reduction_is_bitwise():
     got = evaluate_R_theorem(MultiIndex([1]), w, phi)
     ref = (-2.0 * w) * spectral_derivative(apply_fourier(phi, w), MultiIndex([1]))
     assert np.array_equal(got.samples, ref.samples)
+
+
+@pytest.mark.parametrize("dim, points", [(1, 512), (2, 64)])
+def test_theorem_grouped_by_gamma_is_bit_identical(dim, points):
+    phi = random_grid(dim, points)
+    for alpha in enumerate_up_to(dim, 4):
+        if alpha.order == 0:
+            continue
+        for w in (1.0, 1.0 + 0.99j, 2.0 - 1.0j):
+            got = evaluate_R_theorem(alpha, w, phi)
+            ref = evaluate_R_theorem_per_term(alpha, w, phi)
+            assert np.array_equal(got.samples, ref.samples), (alpha, w)
+
+
+def test_fft_counts_per_evaluator(monkeypatch):
+    # The oracle must stay free of the DFT; the theorem evaluator takes one
+    # forward transform per distinct gamma for its derivatives.
+    calls = []
+    for name in ("fftn", "ifftn"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(None)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    phi = random_grid(2, 32)
+    alpha = MultiIndex((2, 2))
+    for evaluator, expected in ((commutator_direct, 4), (evaluate_R_theorem, 36),
+                                (evaluate_R_convolution, 0)):
+        calls.clear()
+        evaluator(alpha, 1.0 + 0.5j, phi)
+        assert len(calls) == expected, evaluator.__name__
 
 
 def test_direct_on_zero_input():

@@ -24,7 +24,7 @@ def test_parse_complex():
     assert parse_complex(" -2 , 0 ") == complex(-2.0, 0.0)
 
 
-@pytest.mark.parametrize("text", ["1", "1,2,3", "a,b", "1,"])
+@pytest.mark.parametrize("text", ["1", "1,2,3", "a,b", "1,", "inf,0", "0,nan", "nan,nan"])
 def test_parse_complex_rejects(text):
     with pytest.raises(ConfigError):
         parse_complex(text)
@@ -36,7 +36,7 @@ def test_parse_exponent():
     assert parse_exponent(" inf ") == math.inf
 
 
-@pytest.mark.parametrize("text", ["0.5", "0", "-1", "one"])
+@pytest.mark.parametrize("text", ["0.5", "0", "-1", "one", "nan", " NaN "])
 def test_parse_exponent_rejects(text):
     with pytest.raises(ConfigError):
         parse_exponent(text)
@@ -54,7 +54,8 @@ def test_parse_grid():
     assert parse_grid("8,0.5") == (8, 0.5)
 
 
-@pytest.mark.parametrize("text", ["512", "100,16", "4,16", "512,0", "512,-2", "a,16"])
+@pytest.mark.parametrize("text", ["512", "100,16", "4,16", "512,0", "512,-2", "a,16",
+                                  "64,nan", "64,inf", "nan,16"])
 def test_parse_grid_rejects(text):
     with pytest.raises(ConfigError):
         parse_grid(text)
@@ -71,7 +72,8 @@ def test_check_theta():
 
 def test_check_omega():
     assert check_omega(complex(0.5, -3.0)) == complex(0.5, -3.0)
-    for omega in (complex(0, 1), complex(-1, 0)):
+    for omega in (complex(0, 1), complex(-1, 0), complex(math.nan, 0),
+                  complex(1, math.nan), complex(math.inf, 0), complex(1, -math.inf)):
         with pytest.raises(ConfigError):
             check_omega(omega)
 

@@ -17,7 +17,7 @@ from gwcommute.grid import (
     weight_multiply,
     weight_multiply_radial,
 )
-from gwcommute.multiindex import MultiIndex
+from gwcommute.multiindex import MultiIndex, enumerate_up_to
 
 
 def make_1d(fn, points=512, half_width=16.0):
@@ -83,6 +83,38 @@ def test_lp_norm_range_check():
     phi = make_1d(gaussian(1.0), points=32, half_width=8.0)
     with pytest.raises(ValueError):
         lp_norm(phi, 0.5)
+
+
+def weight_multiply_meshgrid(phi, alpha):
+    """x^alpha * phi with the weight formed on the full meshgrid."""
+    mesh = phi.meshgrid()
+    weight = np.ones_like(mesh[0])
+    for axis_coord, power in zip(mesh, alpha):
+        if power:
+            weight = weight * axis_coord**power
+    return phi.with_samples(weight * phi.samples)
+
+
+def weight_multiply_radial_meshgrid(phi, m):
+    """|x|^m * phi with the radius formed on the full meshgrid."""
+    radius_sq = sum(c**2 for c in phi.meshgrid())
+    return phi.with_samples(radius_sq ** (m / 2.0) * phi.samples)
+
+
+@pytest.mark.parametrize("dim, points, half_width",
+                         [(1, 512, 16.0), (2, 64, 16.0), (2, 32, 19.7)])
+def test_broadcast_weights_are_bit_identical_to_meshgrid(dim, points, half_width):
+    rng = np.random.default_rng(3)
+    shape = (points,) * dim
+    phi = GridFunction(dim, points, half_width,
+                       rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for alpha in enumerate_up_to(dim, 4):
+        got = weight_multiply(phi, alpha)
+        assert np.array_equal(got.samples, weight_multiply_meshgrid(phi, alpha).samples), alpha
+    for m in range(5):
+        got = weight_multiply_radial(phi, m)
+        assert np.array_equal(got.samples,
+                              weight_multiply_radial_meshgrid(phi, m).samples), m
 
 
 def test_weight_multiply_cases():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwcommute.hermite import (
-    HermitePoly,
     flavor_convert,
     format_hermite,
     gaussian_derivative,

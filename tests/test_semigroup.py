@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from gwcommute.grid import from_callable, lp_norm, rel_l2_error, weight_multiply
-from gwcommute.multiindex import MultiIndex
+from gwcommute.grid import GridFunction, from_callable, lp_norm, rel_l2_error, weight_multiply
+from gwcommute.hermite import gaussian_log_prefactor
+from gwcommute.multiindex import MultiIndex, enumerate_up_to
 from gwcommute.semigroup import (
     ComplexParam,
+    _heat_multiplier,
     apply_direct,
     as_omega,
     apply_fourier,
@@ -15,7 +17,9 @@ from gwcommute.semigroup import (
     kernel,
     kernel_grid,
     spectral_derivative,
+    spectral_derivatives,
     weighted_kernel_grid,
+    xi_squared,
 )
 
 
@@ -40,6 +44,34 @@ def apply_direct_naive(phi, omega):
         pref = np.exp(-0.5 * phi.dim * (math.log(4.0 * math.pi * abs(w)) + 1j * theta))
         out[i] = phi.cell_volume * np.sum(pref * np.exp(log_like) * values)
     return phi.with_samples(out.reshape(phi.samples.shape))
+
+
+def apply_fourier_uncached(phi, omega):
+    """e^{w*Laplacian} phi with the multiplier rebuilt on every call."""
+    spectrum = np.fft.fftn(phi.samples)
+    spectrum *= np.exp(-as_omega(omega) * xi_squared(phi))
+    return phi.with_samples(np.fft.ifftn(spectrum))
+
+
+def convolve_weighted_kernel_dense(beta, omega, phi):
+    """The quadrature oracle with each Toeplitz matrix evaluated on the N x N
+    coordinate differences x_i - x_j, not gathered from 2N-1 offsets."""
+    w = as_omega(omega)
+    x = phi.axis()
+    diff = x[:, None] - x[None, :]
+    base = np.exp(gaussian_log_prefactor(w, 1)) * np.exp(-np.square(diff) / (4.0 * w))
+    out = phi.samples
+    for axis, b in enumerate(beta):
+        matrix = base * diff**b if b else base
+        out = np.moveaxis(np.tensordot(matrix, out, axes=([1], [axis])), 0, axis)
+    return phi.with_samples(phi.cell_volume * out)
+
+
+def random_grid(dim, points, half_width, seed=11):
+    rng = np.random.default_rng(seed)
+    shape = (points,) * dim
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return GridFunction(dim, points, half_width, samples)
 
 
 def gaussian_grid(omega, points=512, half_width=16.0, dim=1):
@@ -120,6 +152,27 @@ def test_apply_fourier_rejects_bad_omega():
         apply_fourier(phi, complex("nan"))
 
 
+def test_heat_multiplier_is_read_only():
+    multiplier = _heat_multiplier(2, 16, 4.0, 0.5 + 0.25j)
+    assert not multiplier.flags.writeable
+    with pytest.raises(ValueError):
+        multiplier[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("dim, points", [(1, 512), (2, 64)])
+def test_apply_fourier_cached_multiplier_is_bit_identical(dim, points):
+    phi = random_grid(dim, points, 16.0)
+    w1, w2 = 1.0 + 0.99j, 0.25
+    _heat_multiplier.cache_clear()
+    for omega in (w1, w2, w1, w2, w1):
+        got = apply_fourier(phi, omega)
+        assert np.array_equal(got.samples, apply_fourier_uncached(phi, omega).samples)
+    # the in-place product must leave the shared multiplier as it was
+    np.testing.assert_array_equal(
+        _heat_multiplier(dim, points, 16.0, w1), np.exp(-w1 * xi_squared(phi))
+    )
+
+
 def test_heat_flow_on_gaussian_fourier():
     # e^{w Delta} G_s = G_{s+w}: spectral route
     phi = gaussian_grid(0.5)
@@ -196,6 +249,26 @@ def test_toeplitz_restructuring_matches_naive_loop():
             fast = apply_direct(phi, omega)
             slow = apply_direct_naive(phi, omega)
             assert rel_l2_error(fast, slow) <= 1e-14
+
+
+@pytest.mark.parametrize("dim, points", [(1, 512), (2, 64)])
+def test_toeplitz_from_offsets_is_bit_identical_on_dyadic_grids(dim, points):
+    phi = random_grid(dim, points, 16.0)
+    betas = [b for b in enumerate_up_to(dim, 3) if dim == 1 or b.order in (0, 3)]
+    for beta in betas:
+        for omega in (1.0, 0.7 + 0.5j):
+            got = convolve_weighted_kernel(beta, omega, phi)
+            ref = convolve_weighted_kernel_dense(beta, omega, phi)
+            assert np.array_equal(got.samples, ref.samples), (beta, omega)
+
+
+@pytest.mark.parametrize("dim, points, half_width", [(1, 64, 20.3), (2, 32, 19.7)])
+def test_toeplitz_from_offsets_on_non_dyadic_box(dim, points, half_width):
+    phi = random_grid(dim, points, half_width)
+    for beta in enumerate_up_to(dim, 2):
+        got = convolve_weighted_kernel(beta, 1.0 + 0.5j, phi)
+        ref = convolve_weighted_kernel_dense(beta, 1.0 + 0.5j, phi)
+        assert rel_l2_error(got, ref) <= 1e-12, beta
 
 
 def test_naive_oracle_sample_cap():
@@ -283,6 +356,17 @@ def test_spectral_derivative_exact_on_modes():
     assert spectral_derivative(phi, MultiIndex([0])) is phi
     with pytest.raises(ValueError):
         spectral_derivative(phi, MultiIndex([1, 0]))
+
+
+def test_spectral_derivatives_share_one_transform():
+    phi = random_grid(2, 64, 16.0)
+    deltas = [MultiIndex((2, 0)), MultiIndex((0, 0)), MultiIndex((1, 3))]
+    got = list(spectral_derivatives(phi, deltas))
+    assert got[1] is phi
+    for delta, out in zip(deltas, got):
+        assert np.array_equal(out.samples, spectral_derivative(phi, delta).samples)
+    with pytest.raises(ValueError):
+        list(spectral_derivatives(phi, [MultiIndex((1, 0)), MultiIndex([1])]))
 
 
 def test_spectral_derivative_gaussian_reference():
