@@ -154,7 +154,8 @@ def cmd_verify_identity(args) -> int:
     points, half_width = config.parse_grid(args.grid)
     sec = config.IdentitySection(
         dim=alpha.dim, points=points, half_width=half_width, alphas=(alpha,),
-        omegas=(omega,), testfns=(args.testfn,), tolerance=args.tolerance,
+        omegas=(omega,), testfns=(args.testfn,),
+        tolerance=config.parse_finite(args.tolerance, "--tolerance"),
     )
     columns, rows, ok = run_identity(sec)
     if args.with_shift:
@@ -285,11 +286,11 @@ def cmd_cgl(args) -> int:
     section = config.CGLSection(
         nu=config.check_omega(config.parse_complex(args.nu)),
         lam=config.parse_complex(getattr(args, "lam")),
-        p_exponent=args.p,
-        eps=args.eps,
-        sigma=args.sigma,
-        horizon=args.T,
-        dt=args.dt,
+        p_exponent=config.parse_finite(args.p, "--p"),
+        eps=config.parse_finite(args.eps, "--eps"),
+        sigma=config.parse_finite(args.sigma, "--sigma"),
+        horizon=config.parse_finite(args.T, "--T"),
+        dt=config.parse_finite(args.dt, "--dt"),
         m=args.m,
         q=config.parse_exponent(args.q),
         points=points,

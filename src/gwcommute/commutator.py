@@ -5,8 +5,9 @@
                              R_a(w)phi = sum_{b+g=a, b!=0} sum_{2k<=b}
                                  a!/(g! k! (b-2k)!) w^{|k|} (-2w d)^{b-2k}
                                  e^{wD}(x^g phi)
-                             with spectral derivatives, one transform
-                             per distinct gamma
+                             as Fourier multipliers: one forward
+                             transform per distinct gamma and one
+                             inverse transform
     evaluate_R_convolution   the regrouped convolution form
                              sum_{b+g=a, b!=0} a!/(b! g!) (x^b G_w) * (x^g phi)
                              by exact-kernel quadrature, no DFT
@@ -18,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
+
+import numpy as np
 
 from .grid import GridFunction, lp_norm, weight_multiply
 from .multiindex import (
@@ -33,7 +36,8 @@ from .semigroup import (
     apply_fourier,
     as_omega,
     convolve_weighted_kernel,
-    spectral_derivatives,
+    derivative_multiplier,
+    heat_multiplier,
 )
 
 IDENTITY_TOL = 1e-6
@@ -104,25 +108,25 @@ def _ordered_sum(parts: list[GridFunction]) -> GridFunction:
 
 
 def evaluate_R_theorem(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunction:
-    """R_alpha(w) phi with each term through the Fourier multiplier path.
+    """R_alpha(w) phi as one sum of spectra, one inverse transform.
 
-    The terms sharing gamma act on one flowed field e^{wD}(x^gamma phi),
-    which is computed and transformed once; each term then applies its own
-    derivative multiplier.  The terms are summed in expand_R_terms order.
+    Each term is scale * (i xi)^delta exp(-w |xi|^2) applied to x^gamma phi.
+    The terms sharing gamma add up to the multiplier P_gamma(xi) on
+    FFT(x^gamma phi); the group spectra are summed in expand_R_terms order,
+    then the heat multiplier and the inverse transform are applied once.
     """
     w = as_omega(omega)
     groups = [list(terms) for _, terms in groupby(expand_R_terms(alpha),
                                                   key=lambda t: t.gamma)]
 
-    def one_group(terms: list[CommutatorTerm]) -> list[GridFunction]:
-        flowed = apply_fourier(weight_multiply(phi, terms[0].gamma), w)
-        derivatives = spectral_derivatives(flowed, [t.delta for t in terms])
-        # next() inline, not a zip: each unscaled derivative is freed once
-        # scaled, before the next one is made (peak memory)
-        return [t.scale(w) * next(derivatives) for t in terms]
+    def group_spectrum(terms: list[CommutatorTerm]) -> np.ndarray:
+        symbol = reduce(np.add, [t.scale(w) * derivative_multiplier(phi, t.delta)
+                                 for t in terms])
+        return symbol * np.fft.fftn(weight_multiply(phi, terms[0].gamma).samples)
 
-    return _ordered_sum([part for parts in ordered_map(one_group, groups)
-                         for part in parts])
+    spectrum = reduce(np.add, ordered_map(group_spectrum, groups))
+    spectrum *= heat_multiplier(phi, w)
+    return phi.with_samples(np.fft.ifftn(spectrum))
 
 
 def convolution_pairs(alpha: MultiIndex) -> list[tuple[MultiIndex, MultiIndex, int]]:

@@ -37,6 +37,17 @@ def parse_complex(text: str) -> complex:
     return value
 
 
+def parse_finite(value, name: str) -> float:
+    """A finite float from a string or a number; the error names the value."""
+    try:
+        number = float(value)
+    except ValueError:
+        raise ConfigError(f"bad {name} {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return number
+
+
 def parse_exponent(text: str) -> float:
     text = text.strip()
     if text == "inf":
@@ -223,7 +234,7 @@ def parse_suite_config(text: str) -> SuiteConfig:
             alphas=tuple(parse_multiindex(a) for a in _split(sec.get("alphas", ""), ",")),
             omegas=tuple(check_omega(parse_complex(o)) for o in _split(sec.get("omegas", ""), ";")),
             testfns=_known_testfns(tuple(_split(sec.get("testfns", ""), ","))),
-            tolerance=float(sec.get("tolerance", "1e-6")),
+            tolerance=parse_finite(sec.get("tolerance", "1e-6"), "[identity] tolerance"),
         )
         if not (identity.alphas and identity.omegas and identity.testfns):
             raise ConfigError("[identity] needs alphas, omegas and testfns")
@@ -291,15 +302,19 @@ def parse_suite_config(text: str) -> SuiteConfig:
     if "cgl" in harnesses:
         sec = _require(parser, "cgl")
         points, half_width = parse_grid(sec.get("grid", "2048,64"))
+
+        def finite(key: str, default: str) -> float:
+            return parse_finite(sec.get(key, default), f"[cgl] {key}")
+
         try:
             cgl = CGLSection(
                 nu=check_omega(parse_complex(sec.get("nu", "1,0"))),
                 lam=parse_complex(sec.get("lambda", "-1,0")),
-                p_exponent=float(sec.get("p", "4")),
-                eps=float(sec.get("eps", "0.01")),
-                sigma=float(sec.get("sigma", "1.0")),
-                horizon=float(sec.get("T", "10")),
-                dt=float(sec.get("dt", "0.01")),
+                p_exponent=finite("p", "4"),
+                eps=finite("eps", "0.01"),
+                sigma=finite("sigma", "1.0"),
+                horizon=finite("T", "10"),
+                dt=finite("dt", "0.01"),
                 m=int(sec.get("m", "1")),
                 q=parse_exponent(sec.get("q", "1")),
                 points=points,

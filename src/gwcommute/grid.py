@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -178,20 +179,40 @@ def save_gwgf(phi: GridFunction, path) -> None:
         fh.write(inter.tobytes())
 
 
+def _gwgf_header(dim_f: float, points_f: float, half_width: float) -> tuple[int, int]:
+    """(dim, points) from a GWGF header, checked before any payload is read."""
+    if not (dim_f.is_integer() and points_f.is_integer()):
+        raise ValueError(f"GWGF header n={dim_f!r}, N={points_f!r} is not integral")
+    dim, points = int(dim_f), int(points_f)
+    if dim < 1 or points < 8 or points & (points - 1):
+        raise ValueError(f"GWGF header n={dim}, N={points}: need n >= 1, N a power of two >= 8")
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise ValueError(f"GWGF header L={half_width!r} must be finite and positive")
+    return dim, points
+
+
 def load_gwgf(path) -> GridFunction:
+    """Read a file written by save_gwgf; reject bad headers and payload sizes."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        header = fh.read(28)
+        if len(header) != 28:
+            raise ValueError("truncated GWGF header")
+        version, dim_f, points_f, half_width = struct.unpack("<I3d", header)
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported GWGF version {version}")
-        dim_f, points_f, half_width = struct.unpack("<3d", fh.read(24))
-        dim, points = int(dim_f), int(points_f)
-        count = points**dim
-        inter = np.frombuffer(fh.read(16 * count), dtype="<f8")
-        if inter.size != 2 * count:
-            raise ValueError("truncated GWGF payload")
+        dim, points = _gwgf_header(dim_f, points_f, half_width)
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        size = 16
+        for _ in range(dim):  # stops as soon as the size outgrows the file
+            size *= points
+            if size > payload:
+                raise ValueError("truncated GWGF payload")
+        if size != payload:
+            raise ValueError(f"{payload - size} trailing bytes after the GWGF payload")
+        inter = np.frombuffer(fh.read(size), dtype="<f8")
     samples = (inter[0::2] + 1j * inter[1::2]).reshape((points,) * dim)
     return GridFunction(dim, points, half_width, samples)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -130,61 +130,50 @@ def _heat_multiplier(dim: int, points: int, half_width: float, w: complex) -> np
     return multiplier
 
 
+def heat_multiplier(phi: GridFunction, omega) -> np.ndarray:
+    """exp(-w |xi|^2) on the frequency grid of phi, FFT order; re w >= 0.
+
+    Cached and shared by every caller, hence read-only.
+    """
+    w = as_omega(omega)
+    if w.real < 0.0:
+        raise ValueError(f"re omega must be >= 0, got {w}")
+    return _heat_multiplier(phi.dim, phi.points, phi.half_width, w)
+
+
 def apply_fourier(phi: GridFunction, omega) -> GridFunction:
     """e^{w*Laplacian} phi as the Fourier multiplier exp(-w |xi|^2).
 
     Accepts any re w >= 0 (w = 0 is the identity); linear in phi.
     """
     w = as_omega(omega)
-    if w.real < 0.0:
-        raise ValueError(f"re omega must be >= 0, got {w}")
+    multiplier = heat_multiplier(phi, w)
     if w == 0:
         return phi
     spectrum = np.fft.fftn(phi.samples)
-    spectrum *= _heat_multiplier(phi.dim, phi.points, phi.half_width, w)
+    spectrum *= multiplier
     return phi.with_samples(np.fft.ifftn(spectrum))
 
 
-def _derivative_spectrum(spectrum: np.ndarray, delta: MultiIndex, xi: np.ndarray) -> np.ndarray:
-    """spectrum * prod_j (i xi_j)^{delta_j}, as a new array.
+def derivative_multiplier(phi: GridFunction, delta: MultiIndex):
+    """prod_j (i xi_j)^{delta_j} on the frequency grid of phi, FFT order.
 
-    Its own function so that the intermediate products are freed before
-    the caller transforms the result.
+    The outer product of the 1-d factors; the scalar 1.0 when delta = 0.
     """
-    for axis, d in enumerate(delta):
-        if d:
-            shape = [1] * delta.dim
-            shape[axis] = xi.size
-            spectrum = spectrum * (1j * xi).reshape(shape) ** d
-    return spectrum
-
-
-def spectral_derivatives(phi: GridFunction, deltas):
-    """Yield d^delta phi for each delta in turn, from one transform of phi.
-
-    Each derivative is the multiplier prod_j (i xi_j)^{delta_j} applied to
-    that shared spectrum, then its own inverse transform.  A caller that
-    consumes each derivative before asking for the next holds only one.
-    The index dimensions are checked when the first derivative is asked for.
-    """
-    deltas = list(deltas)
-    for delta in deltas:
-        if delta.dim != phi.dim:
-            raise ValueError(f"derivative index dim {delta.dim} != grid dim {phi.dim}")
-    xi = frequencies(phi.points, phi.half_width)
-    spectrum = None
-    for delta in deltas:
-        if delta.order == 0:
-            yield phi
-            continue
-        if spectrum is None:
-            spectrum = np.fft.fftn(phi.samples)
-        yield phi.with_samples(np.fft.ifftn(_derivative_spectrum(spectrum, delta, xi)))
+    if delta.dim != phi.dim:
+        raise ValueError(f"derivative index dim {delta.dim} != grid dim {phi.dim}")
+    if delta.order == 0:
+        return 1.0
+    ixi = 1j * frequencies(phi.points, phi.half_width)
+    return reduce(np.multiply.outer, [ixi**d for d in delta])
 
 
 def spectral_derivative(phi: GridFunction, delta: MultiIndex) -> GridFunction:
     """d^delta phi via the multiplier prod_j (i xi_j)^{delta_j}."""
-    return next(spectral_derivatives(phi, [delta]))
+    multiplier = derivative_multiplier(phi, delta)
+    if delta.order == 0:
+        return phi
+    return phi.with_samples(np.fft.ifftn(np.fft.fftn(phi.samples) * multiplier))
 
 
 def _oracle_guard(phi: GridFunction) -> None:

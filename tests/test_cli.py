@@ -218,6 +218,32 @@ def test_cgl_short_horizon_rejected(tmp_path, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--p", "nan"), ("--eps", "inf"), ("--sigma", "nan"), ("--T", "inf"),
+    ("--dt", "nan"),
+])
+def test_cgl_non_finite_float_flags_rejected(tmp_path, capsys, flag, value):
+    code = main(["cgl", "--T", "2", "--grid", "512,32", flag, value,
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"{flag} must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_identity_non_finite_tolerance_rejected(capsys, monkeypatch):
+    # rejected before any evaluator runs
+    import gwcommute.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("evaluated a case")
+
+    monkeypatch.setattr(cli, "identity_reports", never)
+    code = main(["verify-identity", "--alpha", "1", "--omega", "1,0",
+                 "--testfn", "gauss-wide", "--tolerance", "nan"])
+    assert code == 2
+    assert "--tolerance must be finite" in capsys.readouterr().err
+
+
 def test_cgl_oversized_initial_data_rejected(tmp_path, capsys):
     code = main(["cgl", "--eps", "0.5", "--T", "2", "--grid", "512,32",
                  "--out", str(tmp_path / "run")])
@@ -271,6 +297,23 @@ def test_suite_theta_out_of_range_is_config_error(tmp_path, capsys):
     code = main(["suite", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert code == 2
     assert "theta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, line", [
+    ("cgl", "T = inf"), ("cgl", "dt = nan"), ("identity", "tolerance = nan"),
+])
+def test_suite_non_finite_floats_are_config_errors(tmp_path, capsys, section, line):
+    cfg = tmp_path / "bad.cfg"
+    text = SMALL_SUITE.replace("harnesses = identity, constants",
+                               f"harnesses = {section}")
+    if section == "cgl":
+        text += "\n[cgl]\ngrid = 512,32\n"
+    cfg.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    out_dir = tmp_path / "out"
+    code = main(["suite", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_suite_runs_and_reports(tmp_path, capsys):

@@ -4,6 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from gwcommute.catalog import realize_checked
 from gwcommute.commutator import (
     CommutatorTerm,
     commutator_direct,
@@ -19,7 +20,7 @@ from gwcommute.grid import GridFunction, from_callable, lp_norm, rel_l2_error, w
 from gwcommute.hermite import hermite_closed_form
 from gwcommute.laurent import LaurentPoly
 from gwcommute.multiindex import MultiIndex, enumerate_up_to, factorial
-from gwcommute.semigroup import apply_fourier, as_omega, kernel, spectral_derivative
+from gwcommute.semigroup import as_omega, frequencies, kernel, xi_squared
 
 
 def gaussian_grid(omega, points=512, half_width=16.0):
@@ -31,16 +32,32 @@ def gaussian_grid(omega, points=512, half_width=16.0):
     )
 
 
-def evaluate_R_theorem_per_term(alpha, omega, phi):
-    """The theorem evaluator one term at a time: every term flows and
-    transforms its own x^gamma phi, and the terms are summed in order."""
+def evaluate_R_theorem_fused(alpha, omega, phi):
+    """The theorem evaluator's spectral sum written out term by term.
+
+    P_gamma = sum of scale * prod_j (i xi_j)^{delta_j} over the terms with
+    that gamma (outer products of the 1-d factors; a delta = 0 term adds its
+    scalar) multiplies FFT(x^gamma phi).  The group spectra are added in
+    expand_R_terms order, then exp(-w |xi|^2) and one inverse FFT.
+    """
     w = as_omega(omega)
-    parts = [
-        term.scale(w)
-        * spectral_derivative(apply_fourier(weight_multiply(phi, term.gamma), w), term.delta)
-        for term in expand_R_terms(alpha)
-    ]
-    return reduce(lambda a, b: a + b, parts)
+    ixi = 1j * frequencies(phi.points, phi.half_width)
+    symbols = {}
+    for term in expand_R_terms(alpha):
+        if term.delta.order:
+            part = term.scale(w) * reduce(np.multiply.outer, [ixi**d for d in term.delta])
+        else:
+            part = term.scale(w)
+        if term.gamma in symbols:
+            symbols[term.gamma] = symbols[term.gamma] + part
+        else:
+            symbols[term.gamma] = part
+    total = None
+    for gamma, symbol in symbols.items():
+        spectrum = symbol * np.fft.fftn(weight_multiply(phi, gamma).samples)
+        total = spectrum if total is None else total + spectrum
+    total = total * np.exp(-w * xi_squared(phi))
+    return phi.with_samples(np.fft.ifftn(total))
 
 
 def random_grid(dim, points, half_width=16.0, seed=7):
@@ -142,8 +159,10 @@ def test_degree_one_reduction_is_bitwise():
     phi = gaussian_grid(0.5)
     w = 1.0 + 0.25j
     got = evaluate_R_theorem(MultiIndex([1]), w, phi)
-    ref = (-2.0 * w) * spectral_derivative(apply_fourier(phi, w), MultiIndex([1]))
-    assert np.array_equal(got.samples, ref.samples)
+    xi = frequencies(phi.points, phi.half_width)
+    spectrum = ((-2.0 * w) * (1j * xi)) * np.fft.fftn(phi.samples)
+    ref = np.fft.ifftn(spectrum * np.exp(-w * xi_squared(phi)))
+    assert np.array_equal(got.samples, ref)
 
 
 @pytest.mark.parametrize("dim, points", [(1, 512), (2, 64)])
@@ -154,13 +173,36 @@ def test_theorem_grouped_by_gamma_is_bit_identical(dim, points):
             continue
         for w in (1.0, 1.0 + 0.99j, 2.0 - 1.0j):
             got = evaluate_R_theorem(alpha, w, phi)
-            ref = evaluate_R_theorem_per_term(alpha, w, phi)
+            ref = evaluate_R_theorem_fused(alpha, w, phi)
             assert np.array_equal(got.samples, ref.samples), (alpha, w)
+
+
+@pytest.mark.parametrize("name", ["gauss-wide", "mixture", "bandlimited"])
+def test_theorem_matches_convolution_oracle_to_rounding(name):
+    # One inverse transform after the multipliers: no round trip through
+    # physical space for (i xi)^delta to amplify (|xi|^4 ~ 6e6 here).
+    phi = realize_checked(name, 1, 512, 16.0)
+    alpha = MultiIndex([4])
+    theorem = evaluate_R_theorem(alpha, 1.0, phi)
+    convolution = evaluate_R_convolution(alpha, 1.0, phi)
+    assert rel_l2_error(theorem, convolution) <= 1e-13
+
+
+def test_theorem_same_bits_with_one_or_two_workers(monkeypatch):
+    phi = random_grid(2, 64)
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GW_THREADS", threads)
+        outputs.append([evaluate_R_theorem(alpha, 1.0 + 0.5j, phi).samples
+                        for alpha in (MultiIndex((2, 2)), MultiIndex((3, 1)))])
+    for one, two in zip(*outputs):
+        assert np.array_equal(one, two)
 
 
 def test_fft_counts_per_evaluator(monkeypatch):
     # The oracle must stay free of the DFT; the theorem evaluator takes one
-    # forward transform per distinct gamma for its derivatives.
+    # forward transform per distinct gamma (8 for alpha = (2,2)) and one
+    # inverse transform.
     calls = []
     for name in ("fftn", "ifftn"):
         original = getattr(np.fft, name)
@@ -172,7 +214,7 @@ def test_fft_counts_per_evaluator(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     phi = random_grid(2, 32)
     alpha = MultiIndex((2, 2))
-    for evaluator, expected in ((commutator_direct, 4), (evaluate_R_theorem, 36),
+    for evaluator, expected in ((commutator_direct, 4), (evaluate_R_theorem, 9),
                                 (evaluate_R_convolution, 0)):
         calls.clear()
         evaluator(alpha, 1.0 + 0.5j, phi)

@@ -10,6 +10,7 @@ from gwcommute.config import (
     check_theta,
     parse_complex,
     parse_exponent,
+    parse_finite,
     parse_grid,
     parse_multiindex,
     parse_suite_config,
@@ -40,6 +41,18 @@ def test_parse_exponent():
 def test_parse_exponent_rejects(text):
     with pytest.raises(ConfigError):
         parse_exponent(text)
+
+
+def test_parse_finite():
+    assert parse_finite("0.25", "dt") == 0.25
+    assert parse_finite(-3, "p") == -3.0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", " NaN ", float("inf"),
+                                   float("nan"), "tiny", ""])
+def test_parse_finite_rejects(value):
+    with pytest.raises(ConfigError, match="dt"):
+        parse_finite(value, "dt")
 
 
 def test_parse_multiindex():
@@ -255,6 +268,21 @@ def test_kernel_norms_rejects_bad_grid():
 def test_cgl_rejects_bad_literal():
     text = "[suite]\nharnesses = cgl\n\n[cgl]\neps = tiny\n"
     with pytest.raises(ConfigError, match="cgl"):
+        parse_suite_config(text)
+
+
+@pytest.mark.parametrize("key", ["p", "eps", "sigma", "T", "dt"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cgl_rejects_non_finite(key, value):
+    text = f"[suite]\nharnesses = cgl\n\n[cgl]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"\[cgl\] {key} must be finite"):
+        parse_suite_config(text)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_identity_rejects_non_finite_tolerance(value):
+    text = MINIMAL + f"tolerance = {value}\n"
+    with pytest.raises(ConfigError, match="tolerance must be finite"):
         parse_suite_config(text)
 
 

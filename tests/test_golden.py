@@ -17,7 +17,7 @@ from gwcommute.cli import main
 
 SUITE_ARTIFACTS = {
     "identity.csv":
-        "577b18f30991986577ac626b1310e280073b6ea726f02c01e5fa94e1d1ecbe25",
+        "55e0ae2106ba6c5ddace248156024c2d0af50b7860a7ca2b1f0ccd61c1984841",
     "estimate.csv":
         "10356356edf5a4b9a6b5a3fdfbf1eb791c0bb16e48e2397c007743c74081d86e",
     "constants.csv":
@@ -44,7 +44,7 @@ SUBCOMMANDS = {
     "verify-identity-1d": (
         ["verify-identity", "--alpha", "2", "--omega", "1,0.5",
          "--testfn", "mixture"],
-        0, "e440587a022b251604e1e66a3c95deb1f5b16e2518b7a5a9fb22bc82e7e1de91", {},
+        0, "6d2ae4052fae3174e76933d36259c780b868d9b62ec2f845e48894afd07c20d3", {},
     ),
     "verify-identity-2d-shift": (
         ["verify-identity", "--alpha", "1.1", "--omega", "1,0.3",
@@ -52,12 +52,12 @@ SUBCOMMANDS = {
          "--out", "identity2d.csv"],
         0, EMPTY,
         {"identity2d.csv":
-         "1667e12ce6d06c86affd462872de7e7a94ab5bf226e3a0fe28a9d8f0c32ce7f9"},
+         "5b933c1d07ae4648a60e169f48b4982be9a9e06ccc24de8587b5c33137c475fa"},
     ),
     "verify-identity-fail": (
         ["verify-identity", "--alpha", "3", "--omega", "1,0.9",
          "--testfn", "bandlimited", "--tolerance", "1e-18"],
-        1, "7f77b4ee64be6b2ff2d3bb4c5eda0ef871346f23c44bc072e8697946cc222129", {},
+        1, "cc68ebae7dcb55d6f03451db2beeec6b7351d6b127ba2930258a3aed1e0c9afe", {},
     ),
     "verify-estimate-radial": (
         ["verify-estimate", "--m", "2", "--p", "2", "--q", "1",

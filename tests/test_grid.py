@@ -1,4 +1,7 @@
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +217,61 @@ def test_gwgf_rejects_corrupt_input(tmp_path):
     wrong.write_bytes(b"NOPE" + path.read_bytes()[4:])
     with pytest.raises(ValueError):
         load_gwgf(wrong)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([1, 2]), points=st.sampled_from([8, 16]),
+       half_width=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_gwgf_round_trip_any_header(dim, points, half_width, seed):
+    rng = np.random.default_rng(seed)
+    shape = (points,) * dim
+    phi = GridFunction(dim, points, half_width,
+                       rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.gwgf"
+        save_gwgf(phi, path)
+        back = load_gwgf(path)
+    assert (back.dim, back.points, back.half_width) == (dim, points, half_width)
+    assert np.array_equal(back.samples, phi.samples)
+
+
+def gwgf_bytes(dim, points, half_width, payload_bytes):
+    header = b"GWGF" + struct.pack("<I", 1) + struct.pack("<3d", dim, points, half_width)
+    return header + bytes(payload_bytes)
+
+
+@pytest.mark.parametrize("dim, points, half_width, payload, message", [
+    (1.5, 8.0, 2.0, 16 * 8, "not integral"),
+    (1.0, 8.7, 2.0, 16 * 8, "not integral"),
+    (1.0, 12.0, 2.0, 16 * 12, "power of two"),
+    (0.0, 8.0, 2.0, 0, "n >= 1"),
+    (1.0, 8.0, float("inf"), 16 * 8, "finite and positive"),
+    (1.0, 8.0, float("nan"), 16 * 8, "finite and positive"),
+    (1.0, 8.0, 0.0, 16 * 8, "finite and positive"),
+    (1.0, 8.0, -2.0, 16 * 8, "finite and positive"),
+    (1.0, 8.0, 2.0, 16 * 8 - 1, "truncated"),
+    (2.0, 8.0, 2.0, 16 * 8, "truncated"),
+    (1e9, 8.0, 2.0, 16 * 8, "truncated"),
+])
+def test_gwgf_rejects_corrupt_header(tmp_path, dim, points, half_width, payload, message):
+    path = tmp_path / "bad.gwgf"
+    path.write_bytes(gwgf_bytes(dim, points, half_width, payload))
+    with pytest.raises(ValueError, match=message):
+        load_gwgf(path)
+
+
+def test_gwgf_rejects_trailing_bytes(tmp_path):
+    phi = make_1d(gaussian(1.0), points=8, half_width=2.0)
+    path = tmp_path / "field.gwgf"
+    save_gwgf(phi, path)
+    padded = tmp_path / "padded.gwgf"
+    padded.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="1 trailing bytes"):
+        load_gwgf(padded)
+    short = tmp_path / "short.gwgf"
+    short.write_bytes(path.read_bytes()[:20])
+    with pytest.raises(ValueError, match="truncated GWGF header"):
+        load_gwgf(short)
 
 
 def test_export_csv_1d(tmp_path):

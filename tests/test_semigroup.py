@@ -13,11 +13,12 @@ from gwcommute.semigroup import (
     as_omega,
     apply_fourier,
     convolve_weighted_kernel,
+    derivative_multiplier,
     frequencies,
+    heat_multiplier,
     kernel,
     kernel_grid,
     spectral_derivative,
-    spectral_derivatives,
     weighted_kernel_grid,
     xi_squared,
 )
@@ -153,10 +154,14 @@ def test_apply_fourier_rejects_bad_omega():
 
 
 def test_heat_multiplier_is_read_only():
-    multiplier = _heat_multiplier(2, 16, 4.0, 0.5 + 0.25j)
+    phi = random_grid(2, 16, 4.0)
+    multiplier = heat_multiplier(phi, 0.5 + 0.25j)
+    assert multiplier is _heat_multiplier(2, 16, 4.0, 0.5 + 0.25j)
     assert not multiplier.flags.writeable
     with pytest.raises(ValueError):
         multiplier[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        heat_multiplier(phi, -0.1)
 
 
 @pytest.mark.parametrize("dim, points", [(1, 512), (2, 64)])
@@ -358,15 +363,16 @@ def test_spectral_derivative_exact_on_modes():
         spectral_derivative(phi, MultiIndex([1, 0]))
 
 
-def test_spectral_derivatives_share_one_transform():
+def test_derivative_multiplier_is_outer_product_of_axis_factors():
     phi = random_grid(2, 64, 16.0)
-    deltas = [MultiIndex((2, 0)), MultiIndex((0, 0)), MultiIndex((1, 3))]
-    got = list(spectral_derivatives(phi, deltas))
-    assert got[1] is phi
-    for delta, out in zip(deltas, got):
-        assert np.array_equal(out.samples, spectral_derivative(phi, delta).samples)
+    ixi = 1j * frequencies(64, 16.0)
+    got = derivative_multiplier(phi, MultiIndex((1, 3)))
+    assert np.array_equal(got, ixi[:, None] * (ixi**3)[None, :])
+    assert np.array_equal(derivative_multiplier(phi, MultiIndex((0, 2))),
+                          np.ones(64)[:, None] * (ixi**2)[None, :])
+    assert derivative_multiplier(phi, MultiIndex((0, 0))) == 1.0
     with pytest.raises(ValueError):
-        list(spectral_derivatives(phi, [MultiIndex((1, 0)), MultiIndex([1])]))
+        derivative_multiplier(phi, MultiIndex([1]))
 
 
 def test_spectral_derivative_gaussian_reference():
