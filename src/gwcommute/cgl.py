@@ -122,6 +122,14 @@ class _Stepper:
         return u.with_samples(samples)
 
 
+def step_count(horizon: float, dt: float) -> int:
+    """Steps of size dt that reach the horizon, which must be a whole multiple of dt."""
+    steps = round(horizon / dt)
+    if abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
+        raise ValueError(f"horizon {horizon} must be an integer multiple of dt {dt}")
+    return steps
+
+
 def simulate(cfg: CGLConfig) -> CGLRun:
     """Integrate to the horizon, keeping snapshots every cfg.snapshot_every.
 
@@ -130,9 +138,7 @@ def simulate(cfg: CGLConfig) -> CGLRun:
     Free spreading reaches that band eventually, so this is a diagnostic for
     judging late-time probe trust, not an abort.
     """
-    steps = round(cfg.horizon / cfg.dt)
-    if abs(steps * cfg.dt - cfg.horizon) > 1e-9 * max(1.0, cfg.horizon):
-        raise ValueError("horizon must be an integer multiple of dt")
+    steps = step_count(cfg.horizon, cfg.dt)
     stride = max(1, round(cfg.snapshot_every / cfg.dt))
     stepper = _Stepper(cfg, cfg.dt)
     u = cfg.u0

@@ -2,8 +2,9 @@
 
 Subcommands: hermite, verify-identity, verify-estimate, constants,
 kernel-norms, cgl, suite.  Exit codes: 0 all checks passed, 1 at least one
-check failed (failing rows are still written, flagged pass=false), 2
-configuration/argument error.
+check failed (failing rows are still written, flagged pass=false), 2 an
+input error (ConfigError or OSError).  Any other exception is a bug and ends
+in a traceback.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .cgl import (
     weighted_records,
 )
 from .commutator import identity_reports, lemma_B2_identity
-from .config import ConfigError, parse_suite_config
 from .estimates import (
     ExponentTriple,
     constant_A,
@@ -66,11 +66,13 @@ def _report_table(columns, reports):
 
 
 def _realize_all(sec, seed: int):
-    return [
-        (name, catalog.realize_checked(name, sec.dim, sec.points, sec.half_width,
-                                       seed_offset=seed))
-        for name in sec.testfns
-    ]
+    # too much boundary mass depends on the test function, not on the section
+    with config.as_config_error():
+        return [
+            (name, catalog.realize_checked(name, sec.dim, sec.points, sec.half_width,
+                                           seed_offset=seed))
+            for name in sec.testfns
+        ]
 
 
 # Harness runners: (section, suite seed) -> (columns, rows, all passed).  The
@@ -148,9 +150,7 @@ def cmd_hermite(args) -> int:
 
 def cmd_verify_identity(args) -> int:
     alpha = config.parse_multiindex(args.alpha)
-    if alpha.order < 1:
-        raise ConfigError("need |alpha| >= 1")
-    omega = config.check_omega(config.parse_complex(args.omega))
+    omega = config.parse_complex(args.omega)
     points, half_width = config.parse_grid(args.grid)
     sec = config.IdentitySection(
         dim=alpha.dim, points=points, half_width=half_width, alphas=(alpha,),
@@ -159,42 +159,42 @@ def cmd_verify_identity(args) -> int:
     )
     columns, rows, ok = run_identity(sec)
     if args.with_shift:
-        phi = catalog.realize_checked(args.testfn, alpha.dim, points, half_width)
+        phi = dict(_realize_all(sec, 0))[args.testfn]
         shifts = [
             lemma_B2_identity(alpha, j, omega, phi, testfn=args.testfn,
-                              tol=args.tolerance)
+                              tol=sec.tolerance)
             for j in range(1, alpha.dim + 1)
         ]
         rows += [r.row(columns) for r in shifts]
         ok = ok and all(r.passed for r in shifts)
     tag = config_hash(f"verify-identity {args.alpha} {args.omega} "
-                      f"{args.testfn} {args.grid} {args.tolerance}")
+                      f"{args.testfn} {args.grid} {sec.tolerance}")
     return _finish(columns, rows, ok, tag, args.out)
 
 
 def cmd_verify_estimate(args) -> int:
-    omega = config.check_omega(config.parse_complex(args.omega))
+    dim, m = config.parse_int(args.dim, "--dim"), config.parse_int(args.m, "--m")
     points, half_width = config.parse_grid(args.grid)
     sec = config.EstimateSection(
-        dim=args.dim, points=points, half_width=half_width, m_values=(args.m,),
+        dim=dim, points=points, half_width=half_width, m_values=(m,),
         pq_pairs=((config.parse_exponent(args.p), config.parse_exponent(args.q)),),
-        omegas=(omega,), testfns=(args.testfn,), radial=args.radial,
-        lipschitz=False,
+        omegas=(config.parse_complex(args.omega),), testfns=(args.testfn,),
+        radial=args.radial, lipschitz=False,
     )
-    tag = config_hash(f"verify-estimate {args.dim} {args.m} {args.p} {args.q} "
+    tag = config_hash(f"verify-estimate {dim} {m} {args.p} {args.q} "
                       f"{args.omega} {args.testfn} {args.grid}")
     return _finish(*run_estimate(sec), tag, args.out)
 
 
 def cmd_constants(args) -> int:
     sec = config.ConstantsSection(
-        dim=args.n,
-        m_values=tuple(int(v) for v in args.m_list.split(",")),
-        r_values=tuple(config.parse_exponent(v) for v in args.r_list.split(",")),
+        dim=config.parse_int(args.n, "--n"),
+        m_values=config.parse_list(args.m_list, lambda v: config.parse_int(v, "--m-list")),
+        r_values=config.parse_list(args.r_list, config.parse_exponent),
         thetas=config.parse_thetas(args.theta_list),
     )
     columns, rows, _ = run_constants(sec)
-    tag = config_hash(f"constants {args.n} {args.m_list} {args.r_list} {args.theta_list}")
+    tag = config_hash(f"constants {sec.dim} {args.m_list} {args.r_list} {args.theta_list}")
     if args.out:
         write_atomic(args.out, render_csv(columns, rows, tag))
     else:
@@ -210,8 +210,8 @@ def cmd_kernel_norms(args) -> int:
     sec = config.KernelNormsSection(
         points=points,
         half_width=half_width,
-        betas=tuple(config.parse_multiindex(b) for b in args.beta_list.split(",")),
-        r_values=tuple(config.parse_exponent(v) for v in args.r_list.split(",")),
+        betas=config.parse_list(args.beta_list, config.parse_multiindex),
+        r_values=config.parse_list(args.r_list, config.parse_exponent),
         thetas=config.parse_thetas(args.theta_list),
     )
     tag = config_hash(f"kernel-norms {args.beta_list} {args.r_list} "
@@ -235,15 +235,14 @@ def _build_cgl_config(section: config.CGLSection) -> CGLConfig:
 
 
 def _run_cgl(section: config.CGLSection, prefix: str, tag: str) -> int:
-    if section.horizon < 2.0:
-        raise ConfigError("cgl horizon must be >= 2 (probes anchor at t = 1)")
-    try:
+    # the smallness of u0 and the snapshots in the slope-fit window depend on the data
+    with config.as_config_error():
         cfg = _build_cgl_config(section)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     run = simulate(cfg)
     decay = decay_records(run)
     weighted = weighted_records(run, section.m, section.q)
+    with config.as_config_error():
+        slope = fit_loglog_slope(weighted, cfg.horizon / 4.0, cfg.horizon)
     decay_rows = [
         [format_value(rec.t), format_exponent(rec.r), format_value(rec.value)]
         for rec in decay
@@ -255,8 +254,8 @@ def _run_cgl(section: config.CGLSection, prefix: str, tag: str) -> int:
     write_atomic(f"{prefix}_decay.csv", render_csv(["t", "r", "record"], decay_rows, tag))
     write_atomic(f"{prefix}_weighted.csv",
                  render_csv(["t", "W", "ratio"], weighted_rows, tag))
-    write_atomic(f"{prefix}.plt", _gnuplot_script(prefix, section.m, tag))
-    slope = fit_loglog_slope(weighted, cfg.horizon / 4.0, cfg.horizon)
+    write_atomic(f"{prefix}.plt",
+                 _gnuplot_script(os.path.basename(prefix), section.m, tag))
     ok = (
         decay_bounded(decay)
         and ratio_bounded(weighted)
@@ -284,21 +283,21 @@ def _gnuplot_script(prefix: str, m: int, tag: str) -> str:
 def cmd_cgl(args) -> int:
     points, half_width = config.parse_grid(args.grid)
     section = config.CGLSection(
-        nu=config.check_omega(config.parse_complex(args.nu)),
-        lam=config.parse_complex(getattr(args, "lam")),
+        nu=config.parse_complex(args.nu),
+        lam=config.parse_complex(args.lam),
         p_exponent=config.parse_finite(args.p, "--p"),
         eps=config.parse_finite(args.eps, "--eps"),
         sigma=config.parse_finite(args.sigma, "--sigma"),
         horizon=config.parse_finite(args.T, "--T"),
         dt=config.parse_finite(args.dt, "--dt"),
-        m=args.m,
+        m=config.parse_int(args.m, "--m"),
         q=config.parse_exponent(args.q),
         points=points,
         half_width=half_width,
     )
     tag = config_hash(
-        f"cgl {args.nu} {getattr(args, 'lam')} {args.p} {args.eps} {args.sigma} "
-        f"{args.T} {args.dt} {args.m} {args.q} {args.grid}"
+        f"cgl {args.nu} {args.lam} {section.p_exponent} {section.eps} {section.sigma} "
+        f"{section.horizon} {section.dt} {section.m} {args.q} {args.grid}"
     )
     return _run_cgl(section, args.out, tag)
 
@@ -313,11 +312,11 @@ HARNESSES = {
 
 def cmd_suite(args) -> int:
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config) as fh, config.as_config_error():  # a file that is not text
             text = fh.read()
     else:
         text = resources.files("gwcommute").joinpath("data/default_suite.cfg").read_text()
-    cfg = parse_suite_config(text)
+    cfg = config.parse_suite_config(text)
     tag = config_hash(cfg.raw_text)
     if not cfg.harnesses:
         return _EXIT_PASS
@@ -356,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--omega", required=True, metavar="RE,IM")
     p_id.add_argument("--testfn", required=True)
     p_id.add_argument("--grid", default="512,16", metavar="N,L")
-    p_id.add_argument("--tolerance", type=float, default=1e-6)
+    p_id.add_argument("--tolerance", default=1e-6)
     p_id.add_argument("--with-shift", action="store_true",
                       help="also check the index-shift identity per axis")
     p_id.add_argument("--out", default=None)
@@ -364,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("verify-estimate",
                            help="check the weighted commutator estimate")
-    p_est.add_argument("--dim", type=int, default=1)
-    p_est.add_argument("--m", type=int, required=True)
+    p_est.add_argument("--dim", default=1)
+    p_est.add_argument("--m", required=True)
     p_est.add_argument("--p", required=True)
     p_est.add_argument("--q", required=True)
     p_est.add_argument("--omega", required=True, metavar="RE,IM")
@@ -377,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=cmd_verify_estimate)
 
     p_con = sub.add_parser("constants", help="tabulate A and A~")
-    p_con.add_argument("--n", type=int, default=1)
+    p_con.add_argument("--n", default=1)
     p_con.add_argument("--m-list", default="1,2,3")
     p_con.add_argument("--r-list", default="1,2,inf")
     p_con.add_argument("--theta-list", default="0,0.3,0.6,0.9,1.2")
@@ -396,12 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cgl = sub.add_parser("cgl", help="Ginzburg-Landau decay/growth experiment")
     p_cgl.add_argument("--nu", default="1,0", metavar="RE,IM")
     p_cgl.add_argument("--lambda", dest="lam", default="-1,0", metavar="RE,IM")
-    p_cgl.add_argument("--p", type=float, default=4.0)
-    p_cgl.add_argument("--eps", type=float, default=0.01)
-    p_cgl.add_argument("--sigma", type=float, default=1.0)
-    p_cgl.add_argument("--T", type=float, default=10.0)
-    p_cgl.add_argument("--dt", type=float, default=0.01)
-    p_cgl.add_argument("--m", type=int, default=1)
+    p_cgl.add_argument("--p", default=4.0)
+    p_cgl.add_argument("--eps", default=0.01)
+    p_cgl.add_argument("--sigma", default=1.0)
+    p_cgl.add_argument("--T", default=10.0)
+    p_cgl.add_argument("--dt", default=0.01)
+    p_cgl.add_argument("--m", default=1)
     p_cgl.add_argument("--q", default="1")
     p_cgl.add_argument("--grid", default="2048,64", metavar="N,L")
     p_cgl.add_argument("--out", required=True, metavar="PREFIX")
@@ -420,11 +419,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except OSError as exc:
+    except (config.ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
 

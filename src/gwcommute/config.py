@@ -6,35 +6,40 @@ Value syntax inside a section:
     multi-indices        dot-separated, e.g. "2.1"; lists joined by ","
     exponents            numbers or "inf"; pairs "p:q" joined by ","
 
-A parse or validation problem raises ConfigError; the CLI maps that to
-exit code 2.
+The parsers turn strings into values; the section types check, on
+construction, that the values make a valid harness input, whether the suite
+config or a CLI subcommand built them.  Both raise ConfigError (exit code 2).
 """
 from __future__ import annotations
 
 import configparser
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from .catalog import DEFAULT_CATALOG, GaussianComponent
 from .multiindex import MultiIndex
-
-HARNESS_NAMES = ("identity", "estimate", "constants", "kernel-norms", "cgl")
+from .semigroup import check_oracle_grid
 
 
 class ConfigError(Exception):
     pass
 
 
+@contextmanager
+def as_config_error():
+    """Re-raise a library ValueError about an input as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError(f"complex value must be RE,IM, got {text!r}")
-    try:
-        value = complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise ConfigError(f"bad complex value {text!r}")
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ConfigError(f"complex value must be finite, got {text!r}")
-    return value
+    return complex(*(parse_finite(part, "complex value") for part in parts))
 
 
 def parse_finite(value, name: str) -> float:
@@ -46,6 +51,14 @@ def parse_finite(value, name: str) -> float:
     if not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return number
+
+
+def parse_int(value, name: str) -> int:
+    """An integer from a string or an int; the error names the value."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"bad {name} {value!r}")
 
 
 def parse_exponent(text: str) -> float:
@@ -68,22 +81,26 @@ def parse_multiindex(text: str) -> MultiIndex:
         raise ConfigError(f"bad multi-index {text!r}")
 
 
-def _split(text: str, sep: str) -> list[str]:
-    return [part.strip() for part in text.split(sep) if part.strip()]
+def parse_list(text: str, parse, sep: str = ",") -> tuple:
+    """The items of text between separators, blanks skipped, each parsed."""
+    return tuple(parse(part.strip()) for part in text.split(sep) if part.strip())
+
+
+def parse_thetas(text: str) -> tuple[float, ...]:
+    """Comma-separated angles; the sections check that |theta| < pi/2."""
+    return parse_list(text, lambda v: parse_finite(v, "theta"))
 
 
 def parse_grid(text: str) -> tuple[int, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError(f"grid must be N,L; got {text!r}")
-    try:
-        points, half_width = int(parts[0]), float(parts[1])
-    except ValueError:
-        raise ConfigError(f"bad grid {text!r}")
+    points = parse_int(parts[0], "grid points")
+    half_width = parse_finite(parts[1], "grid half-width")
     if points < 8 or points & (points - 1):
         raise ConfigError(f"grid points must be a power of two >= 8, got {points}")
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise ConfigError(f"grid half-width must be finite and positive, got {text!r}")
+    if not half_width > 0:
+        raise ConfigError(f"grid half-width must be positive, got {text!r}")
     return points, half_width
 
 
@@ -95,17 +112,38 @@ def check_theta(theta: float) -> float:
     return theta
 
 
-def parse_thetas(text: str) -> tuple[float, ...]:
-    """Comma-separated angles, each checked by check_theta; empty items skipped."""
-    return tuple(check_theta(float(v)) for v in _split(text, ","))
-
-
 def check_omega(omega: complex) -> complex:
     if not (math.isfinite(omega.real) and math.isfinite(omega.imag)):
         raise ConfigError(f"omega must be finite, got {omega}")
     if omega.real <= 0:
         raise ConfigError(f"omega must have positive real part, got {omega}")
     return omega
+
+
+# Section invariants: the paper's objects exist for |alpha| = m >= 1,
+# re omega > 0, q <= p and |theta| < pi/2.
+
+def _check_filled(section: str, **lists) -> None:
+    for key, values in lists.items():
+        if not values:
+            raise ConfigError(f"[{section}] needs at least one of {key}")
+
+
+def _check_positive(name: str, values) -> None:
+    for m in values:
+        if m < 1:
+            raise ConfigError(f"{name} must be >= 1, got {m}")
+
+
+def _check_inputs(dim: int, omegas, testfns) -> None:
+    """The checks the identity and estimate sections share."""
+    _check_positive("dim", [dim])
+    for omega in omegas:
+        check_omega(omega)
+    for name in testfns:
+        if name not in DEFAULT_CATALOG:
+            known = ", ".join(sorted(DEFAULT_CATALOG))
+            raise ConfigError(f"unknown test function {name!r}; catalog has: {known}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +155,19 @@ class IdentitySection:
     omegas: tuple[complex, ...]
     testfns: tuple[str, ...]
     tolerance: float = 1e-6
+
+    def __post_init__(self):
+        _check_filled("identity", alphas=self.alphas, omegas=self.omegas,
+                      testfns=self.testfns)
+        _check_inputs(self.dim, self.omegas, self.testfns)
+        for alpha in self.alphas:
+            if alpha.dim != self.dim:
+                raise ConfigError(f"alpha {alpha.to_str()} does not match dim {self.dim}")
+        _check_positive("|alpha|", [alpha.order for alpha in self.alphas])
+        with as_config_error():
+            check_oracle_grid(self.dim, self.points)
+        if not 0.0 < self.tolerance < math.inf:
+            raise ConfigError(f"tolerance must be finite and positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -131,6 +182,17 @@ class EstimateSection:
     radial: bool = True
     lipschitz: bool = True
 
+    def __post_init__(self):
+        from .estimates import ExponentTriple
+
+        _check_filled("estimate", m_values=self.m_values, pq_pairs=self.pq_pairs,
+                      omegas=self.omegas, testfns=self.testfns)
+        _check_inputs(self.dim, self.omegas, self.testfns)
+        _check_positive("estimate m_values", self.m_values)
+        for p, q in self.pq_pairs:
+            with as_config_error():
+                ExponentTriple(p, q)
+
 
 @dataclass(frozen=True)
 class ConstantsSection:
@@ -138,6 +200,14 @@ class ConstantsSection:
     m_values: tuple[int, ...]
     r_values: tuple[float, ...]
     thetas: tuple[float, ...]
+
+    def __post_init__(self):
+        _check_positive("dim", [self.dim])
+        _check_filled("constants", m_values=self.m_values, r_values=self.r_values,
+                      thetas=self.thetas)
+        _check_positive("constants m_values", self.m_values)
+        for theta in self.thetas:
+            check_theta(theta)
 
 
 @dataclass(frozen=True)
@@ -147,6 +217,13 @@ class KernelNormsSection:
     betas: tuple[MultiIndex, ...]
     r_values: tuple[float, ...]
     thetas: tuple[float, ...]
+
+    def __post_init__(self):
+        _check_filled("kernel-norms", betas=self.betas, r_values=self.r_values,
+                      thetas=self.thetas)
+        _check_positive("kernel |beta|", [beta.order for beta in self.betas])
+        for theta in self.thetas:
+            check_theta(theta)
 
 
 @dataclass(frozen=True)
@@ -163,6 +240,22 @@ class CGLSection:
     points: int
     half_width: float
 
+    def __post_init__(self):
+        from .cgl import step_count
+
+        check_omega(self.nu)
+        _check_positive("cgl m", [self.m])
+        if not self.dt > 0.0:
+            raise ConfigError(f"cgl dt must be positive, got {self.dt}")
+        if not self.horizon >= 2.0:
+            raise ConfigError("cgl horizon must be >= 2 (probes anchor at t = 1)")
+        with as_config_error():
+            step_count(self.horizon, self.dt)
+        if not self.p_exponent > 3.0:  # p > 1 + 2/n; the run is one-dimensional
+            raise ConfigError(f"cgl needs p > 1 + 2/n = 3, got {self.p_exponent}")
+        with as_config_error():
+            GaussianComponent(sigma=self.sigma, amplitude=self.eps)
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -176,20 +269,87 @@ class SuiteConfig:
     cgl: CGLSection | None = None
 
 
-def _require(parser: configparser.ConfigParser, section: str) -> configparser.SectionProxy:
-    if not parser.has_section(section):
-        raise ConfigError(f"harness {section!r} requested but section missing")
-    return parser[section]
+def _grid(sec, default: str = "512,16") -> dict:
+    points, half_width = parse_grid(sec.get("grid", default))
+    return {"points": points, "half_width": half_width}
 
 
-def _known_testfns(names: tuple[str, ...]) -> tuple[str, ...]:
-    from .catalog import DEFAULT_CATALOG
+def _ints(sec, key: str, default: str) -> tuple[int, ...]:
+    return parse_list(sec.get(key, default), lambda v: parse_int(v, f"[{sec.name}] {key}"))
 
-    for name in names:
-        if name not in DEFAULT_CATALOG:
-            known = ", ".join(sorted(DEFAULT_CATALOG))
-            raise ConfigError(f"unknown test function {name!r}; catalog has: {known}")
-    return names
+
+def _pq_pair(chunk: str) -> tuple[float, float]:
+    parts = chunk.split(":")
+    if len(parts) != 2:
+        raise ConfigError(f"pq pair must be p:q, got {chunk!r}")
+    return parse_exponent(parts[0]), parse_exponent(parts[1])
+
+
+def _identity(sec) -> IdentitySection:
+    return IdentitySection(
+        dim=parse_int(sec.get("dim", "1"), f"[{sec.name}] dim"),
+        **_grid(sec),
+        alphas=parse_list(sec.get("alphas", ""), parse_multiindex),
+        omegas=parse_list(sec.get("omegas", ""), parse_complex, ";"),
+        testfns=parse_list(sec.get("testfns", ""), str),
+        tolerance=parse_finite(sec.get("tolerance", "1e-6"), "[identity] tolerance"),
+    )
+
+
+def _estimate(sec) -> EstimateSection:
+    with as_config_error():  # configparser's "Not a boolean"
+        radial = sec.getboolean("radial", True)
+        lipschitz = sec.getboolean("lipschitz", True)
+    return EstimateSection(
+        dim=parse_int(sec.get("dim", "1"), f"[{sec.name}] dim"),
+        **_grid(sec),
+        m_values=_ints(sec, "m_values", "1"),
+        pq_pairs=parse_list(sec.get("pq_pairs", ""), _pq_pair),
+        omegas=parse_list(sec.get("omegas", ""), parse_complex, ";"),
+        testfns=parse_list(sec.get("testfns", ""), str),
+        radial=radial,
+        lipschitz=lipschitz,
+    )
+
+
+def _constants(sec) -> ConstantsSection:
+    return ConstantsSection(
+        dim=parse_int(sec.get("dim", "1"), f"[{sec.name}] dim"),
+        m_values=_ints(sec, "m_values", "1,2"),
+        r_values=parse_list(sec.get("r_values", "1,2,inf"), parse_exponent),
+        thetas=parse_thetas(sec.get("thetas", "0")),
+    )
+
+
+def _kernel_norms(sec) -> KernelNormsSection:
+    return KernelNormsSection(
+        **_grid(sec),
+        betas=parse_list(sec.get("betas", "1"), parse_multiindex),
+        r_values=parse_list(sec.get("r_values", "1"), parse_exponent),
+        thetas=parse_thetas(sec.get("thetas", "0")),
+    )
+
+
+def _cgl(sec) -> CGLSection:
+    def finite(key: str, default: str) -> float:
+        return parse_finite(sec.get(key, default), f"[cgl] {key}")
+
+    return CGLSection(
+        nu=parse_complex(sec.get("nu", "1,0")),
+        lam=parse_complex(sec.get("lambda", "-1,0")),
+        p_exponent=finite("p", "4"),
+        eps=finite("eps", "0.01"),
+        sigma=finite("sigma", "1.0"),
+        horizon=finite("T", "10"),
+        dt=finite("dt", "0.01"),
+        m=parse_int(sec.get("m", "1"), "[cgl] m"),
+        q=parse_exponent(sec.get("q", "1")),
+        **_grid(sec, "2048,64"),
+    )
+
+
+_SECTIONS = {"identity": _identity, "estimate": _estimate, "constants": _constants,
+             "kernel-norms": _kernel_norms, "cgl": _cgl}
 
 
 def parse_suite_config(text: str) -> SuiteConfig:
@@ -201,135 +361,13 @@ def parse_suite_config(text: str) -> SuiteConfig:
     if not parser.has_section("suite"):
         raise ConfigError("missing [suite] section")
     suite = parser["suite"]
-    harness_text = suite.get("harnesses", "").strip()
-    harnesses = tuple(_split(harness_text, ",")) if harness_text else ()
+    harnesses = parse_list(suite.get("harnesses", ""), str)
     for name in harnesses:
-        if name not in HARNESS_NAMES:
-            raise ConfigError(
-                f"unknown harness {name!r}; choose from {', '.join(HARNESS_NAMES)}"
-            )
-    try:
-        seed = suite.getint("seed", fallback=0)
-    except ValueError:
-        raise ConfigError("suite.seed must be an integer")
-
-    def grid_of(section) -> tuple[int, int, float]:
-        try:
-            dim = int(section.get("dim", "1"))
-        except ValueError:
-            raise ConfigError(f"bad dim in [{section.name}]")
-        if dim < 1:
-            raise ConfigError("dim must be >= 1")
-        points, half_width = parse_grid(section.get("grid", "512,16"))
-        return dim, points, half_width
-
-    identity = None
-    if "identity" in harnesses:
-        sec = _require(parser, "identity")
-        dim, points, half_width = grid_of(sec)
-        identity = IdentitySection(
-            dim=dim,
-            points=points,
-            half_width=half_width,
-            alphas=tuple(parse_multiindex(a) for a in _split(sec.get("alphas", ""), ",")),
-            omegas=tuple(check_omega(parse_complex(o)) for o in _split(sec.get("omegas", ""), ";")),
-            testfns=_known_testfns(tuple(_split(sec.get("testfns", ""), ","))),
-            tolerance=parse_finite(sec.get("tolerance", "1e-6"), "[identity] tolerance"),
-        )
-        if not (identity.alphas and identity.omegas and identity.testfns):
-            raise ConfigError("[identity] needs alphas, omegas and testfns")
-        for alpha in identity.alphas:
-            if alpha.dim != dim:
-                raise ConfigError(f"alpha {alpha.to_str()} does not match dim {dim}")
-            if alpha.order < 1:
-                raise ConfigError("identity alphas need |alpha| >= 1")
-
-    estimate = None
-    if "estimate" in harnesses:
-        sec = _require(parser, "estimate")
-        dim, points, half_width = grid_of(sec)
-        pairs = []
-        for chunk in _split(sec.get("pq_pairs", ""), ","):
-            parts = chunk.split(":")
-            if len(parts) != 2:
-                raise ConfigError(f"pq pair must be p:q, got {chunk!r}")
-            p, q = parse_exponent(parts[0]), parse_exponent(parts[1])
-            pairs.append((p, q))
-        estimate = EstimateSection(
-            dim=dim,
-            points=points,
-            half_width=half_width,
-            m_values=tuple(int(v) for v in _split(sec.get("m_values", "1"), ",")),
-            pq_pairs=tuple(pairs),
-            omegas=tuple(check_omega(parse_complex(o)) for o in _split(sec.get("omegas", ""), ";")),
-            testfns=_known_testfns(tuple(_split(sec.get("testfns", ""), ","))),
-            radial=sec.getboolean("radial", fallback=True),
-            lipschitz=sec.getboolean("lipschitz", fallback=True),
-        )
-        if not (estimate.m_values and estimate.pq_pairs and estimate.omegas
-                and estimate.testfns):
-            raise ConfigError("[estimate] needs m_values, pq_pairs, omegas, testfns")
-        if any(m < 1 for m in estimate.m_values):
-            raise ConfigError("estimate m_values must be >= 1")
-
-    constants = None
-    if "constants" in harnesses:
-        sec = _require(parser, "constants")
-        try:
-            dim = int(sec.get("dim", "1"))
-        except ValueError:
-            raise ConfigError("bad dim in [constants]")
-        constants = ConstantsSection(
-            dim=dim,
-            m_values=tuple(int(v) for v in _split(sec.get("m_values", "1,2"), ",")),
-            r_values=tuple(parse_exponent(v) for v in _split(sec.get("r_values", "1,2,inf"), ",")),
-            thetas=parse_thetas(sec.get("thetas", "0")),
-        )
-
-    kernel_norms = None
-    if "kernel-norms" in harnesses:
-        sec = _require(parser, "kernel-norms")
-        points, half_width = parse_grid(sec.get("grid", "512,16"))
-        kernel_norms = KernelNormsSection(
-            points=points,
-            half_width=half_width,
-            betas=tuple(parse_multiindex(b) for b in _split(sec.get("betas", "1"), ",")),
-            r_values=tuple(parse_exponent(v) for v in _split(sec.get("r_values", "1"), ",")),
-            thetas=parse_thetas(sec.get("thetas", "0")),
-        )
-
-    cgl = None
-    if "cgl" in harnesses:
-        sec = _require(parser, "cgl")
-        points, half_width = parse_grid(sec.get("grid", "2048,64"))
-
-        def finite(key: str, default: str) -> float:
-            return parse_finite(sec.get(key, default), f"[cgl] {key}")
-
-        try:
-            cgl = CGLSection(
-                nu=check_omega(parse_complex(sec.get("nu", "1,0"))),
-                lam=parse_complex(sec.get("lambda", "-1,0")),
-                p_exponent=finite("p", "4"),
-                eps=finite("eps", "0.01"),
-                sigma=finite("sigma", "1.0"),
-                horizon=finite("T", "10"),
-                dt=finite("dt", "0.01"),
-                m=int(sec.get("m", "1")),
-                q=parse_exponent(sec.get("q", "1")),
-                points=points,
-                half_width=half_width,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad [cgl] value: {exc}")
-
-    return SuiteConfig(
-        harnesses=harnesses,
-        seed=seed,
-        raw_text=text,
-        identity=identity,
-        estimate=estimate,
-        constants=constants,
-        kernel_norms=kernel_norms,
-        cgl=cgl,
-    )
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown harness {name!r}; choose from {', '.join(_SECTIONS)}")
+        if not parser.has_section(name):
+            raise ConfigError(f"harness {name!r} requested but section missing")
+    seed = parse_int(suite.get("seed", "0"), "suite.seed")
+    sections = {name.replace("-", "_"): build(parser[name])
+                for name, build in _SECTIONS.items() if name in harnesses}
+    return SuiteConfig(harnesses=harnesses, seed=seed, raw_text=text, **sections)

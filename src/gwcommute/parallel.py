@@ -8,18 +8,14 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .config import ConfigError, parse_int
+
 
 def worker_count(n_items: int) -> int:
     cap = os.environ.get("GW_THREADS", "").strip()
-    if cap:
-        try:
-            limit = int(cap)
-        except ValueError:
-            raise ValueError(f"GW_THREADS must be an integer, got {cap!r}")
-        if limit < 1:
-            raise ValueError("GW_THREADS must be >= 1")
-    else:
-        limit = os.cpu_count() or 1
+    limit = parse_int(cap, "GW_THREADS") if cap else (os.cpu_count() or 1)
+    if limit < 1:
+        raise ConfigError(f"GW_THREADS must be >= 1, got {cap!r}")
     return max(1, min(limit, n_items))
 
 

@@ -176,8 +176,9 @@ def spectral_derivative(phi: GridFunction, delta: MultiIndex) -> GridFunction:
     return phi.with_samples(np.fft.ifftn(np.fft.fftn(phi.samples) * multiplier))
 
 
-def _oracle_guard(phi: GridFunction) -> None:
-    if phi.points > _ORACLE_MAX_POINTS or phi.points**phi.dim > _ORACLE_MAX_SAMPLES:
+def check_oracle_grid(dim: int, points: int) -> None:
+    """Reject a grid beyond the quadrature oracle's work limit."""
+    if points > _ORACLE_MAX_POINTS or points**dim > _ORACLE_MAX_SAMPLES:
         raise ValueError(
             "quadrature oracle limited to <= 512 points per axis and 2^22 samples"
         )
@@ -194,7 +195,7 @@ def convolve_weighted_kernel(beta: MultiIndex, omega, phi: GridFunction) -> Grid
         raise ValueError(f"re omega must be positive, got {w}")
     if beta.dim != phi.dim:
         raise ValueError(f"weight dim {beta.dim} != grid dim {phi.dim}")
-    _oracle_guard(phi)
+    check_oracle_grid(phi.dim, phi.points)
     n = phi.points
     # The 2N-1 lattice offsets (i - j) h; on a dyadic box they equal the
     # differences x_i - x_j exactly.

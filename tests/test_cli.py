@@ -113,6 +113,10 @@ def test_verify_identity_impossible_tolerance_exits_1(tmp_path):
       "--testfn", "gauss-wide"], "complex value must be finite"),
     (["verify-identity", "--alpha", "1", "--omega", "1,0",
       "--testfn", "gauss-wide", "--grid", "64,inf"], "half-width must be finite"),
+    (["verify-identity", "--alpha", "1", "--omega", "1,0",
+      "--testfn", "gauss-wide", "--tolerance", "-1"], "tolerance must be finite and positive"),
+    (["verify-identity", "--alpha", "1", "--omega", "1,0",
+      "--testfn", "gauss-wide", "--tolerance", "0"], "tolerance must be finite and positive"),
 ])
 def test_verify_identity_config_errors(capsys, argv, message):
     assert main(argv) == 2
@@ -244,6 +248,33 @@ def test_verify_identity_non_finite_tolerance_rejected(capsys, monkeypatch):
     assert "--tolerance must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--m", "0"], "cgl m must be >= 1"),
+    (["--m", "x"], "bad --m"),
+    (["--dt", "0.03"], "integer multiple of dt"),
+    (["--p", "3"], "p > 1 + 2/n"),
+    (["--dt", "2"], "two snapshots in the fit window"),
+    (["--eps", "0"], "two snapshots in the fit window"),
+])
+def test_cgl_input_errors_write_nothing(tmp_path, capsys, flags, message):
+    code = main(["cgl", "--T", "2", "--grid", "512,32", *flags,
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cgl_plot_script_does_not_depend_on_output_directory(tmp_path, capsys):
+    scripts = []
+    for sub in ("a", "b/c"):
+        (tmp_path / sub).mkdir(parents=True)
+        assert main(["cgl", "--T", "2", "--grid", "512,32",
+                     "--out", str(tmp_path / sub / "run")]) == 0
+        scripts.append((tmp_path / sub / "run.plt").read_bytes())
+    assert scripts[0] == scripts[1]
+    assert b'plot "run_weighted.csv"' in scripts[0]
+
+
 def test_cgl_oversized_initial_data_rejected(tmp_path, capsys):
     code = main(["cgl", "--eps", "0.5", "--T", "2", "--grid", "512,32",
                  "--out", str(tmp_path / "run")])
@@ -316,6 +347,45 @@ def test_suite_non_finite_floats_are_config_errors(tmp_path, capsys, section, li
     assert not out_dir.exists()
 
 
+VALID_SECTIONS = {
+    "identity": {"grid": "512,16", "alphas": "1, 2", "omegas": "1,0.5",
+                 "testfns": "gauss-wide"},
+    "estimate": {"grid": "512,16", "m_values": "1", "pq_pairs": "2:1",
+                 "omegas": "1,0", "testfns": "gauss-wide"},
+    "constants": {"m_values": "1", "r_values": "1", "thetas": "0"},
+    "kernel-norms": {"betas": "1", "r_values": "1", "thetas": "0"},
+    "cgl": {"grid": "512,32", "T": "2"},
+}
+
+
+@pytest.mark.parametrize("section, bad, message", [
+    ("identity", {"tolerance": "0"}, "tolerance must be finite and positive"),
+    ("estimate", {"pq_pairs": "1:2"}, "q <= p"),
+    ("estimate", {"m_values": "x"}, "bad [estimate] m_values"),
+    ("constants", {"m_values": "0"}, "m_values must be >= 1"),
+    ("kernel-norms", {"betas": "0"}, "|beta| must be >= 1"),
+    ("cgl", {"T": "1"}, "horizon must be >= 2"),
+    ("cgl", {"p": "2"}, "p > 1 + 2/n"),
+    ("cgl", {"dt": "0.03", "T": "10"}, "integer multiple of dt"),
+    ("cgl", {"m": "0"}, "cgl m must be >= 1"),
+])
+def test_suite_bad_section_fails_before_any_artifact(tmp_path, capsys, section, bad,
+                                                      message):
+    # a valid harness runs first, so a late check would already have written it
+    first = "constants" if section == "identity" else "identity"
+    sections = {first: VALID_SECTIONS[first], section: {**VALID_SECTIONS[section], **bad}}
+    text = f"[suite]\nharnesses = {first}, {section}\n"
+    for name, keys in sections.items():
+        text += f"\n[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out_dir = tmp_path / "out"
+    code = main(["suite", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_suite_runs_and_reports(tmp_path, capsys):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(SMALL_SUITE)
@@ -355,6 +425,18 @@ def test_gw_threads_must_be_positive_integer(monkeypatch, capsys):
                  "--testfn", "gauss-wide"])
     assert code == 2
     assert "GW_THREADS" in capsys.readouterr().err
+
+
+def test_main_lets_internal_errors_propagate(monkeypatch):
+    # only ConfigError and OSError mean bad input; anything else is a bug
+    import gwcommute.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "run_constants", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["constants"])
 
 
 # ------------------------------------------------------------- console script

@@ -1,4 +1,5 @@
 """Suite-config parsing: value syntax, validation, and the packaged default."""
+import dataclasses
 import math
 
 import pytest
@@ -279,11 +280,44 @@ def test_cgl_rejects_non_finite(key, value):
         parse_suite_config(text)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 def test_identity_rejects_non_finite_tolerance(value):
     text = MINIMAL + f"tolerance = {value}\n"
     with pytest.raises(ConfigError, match="tolerance must be finite"):
         parse_suite_config(text)
+
+
+@pytest.mark.parametrize("section, changes, match", [
+    ("identity", {"dim": 0}, "dim must be >= 1"),
+    ("identity", {"alphas": ()}, "alphas"),
+    ("identity", {"alphas": (MultiIndex((1, 1)),)}, "does not match dim"),
+    ("identity", {"alphas": (MultiIndex((0,)),)}, "alpha"),
+    ("identity", {"omegas": (complex(0, 1),)}, "positive real part"),
+    ("identity", {"testfns": ("gauss-tall",)}, "catalog"),
+    ("identity", {"points": 1024}, "quadrature oracle"),
+    ("identity", {"tolerance": 0.0}, "tolerance must be finite and positive"),
+    ("estimate", {"testfns": ()}, "testfns"),
+    ("estimate", {"m_values": (1, 0)}, "m_values must be >= 1"),
+    ("estimate", {"pq_pairs": ((1.0, 2.0),)}, "q <= p"),
+    ("constants", {"dim": 0}, "dim must be >= 1"),
+    ("constants", {"m_values": (0,)}, "m_values must be >= 1"),
+    ("constants", {"thetas": (1.58,)}, "theta"),
+    ("kernel_norms", {"betas": (MultiIndex((0,)),)}, "beta"),
+    ("kernel_norms", {"thetas": ()}, "thetas"),
+    ("cgl", {"nu": complex(-1, 0)}, "positive real part"),
+    ("cgl", {"m": 0}, "cgl m must be >= 1"),
+    ("cgl", {"dt": 0.0}, "dt must be positive"),
+    ("cgl", {"horizon": 1.5}, "horizon must be >= 2"),
+    ("cgl", {"dt": 0.03}, "integer multiple of dt"),
+    ("cgl", {"p_exponent": 3.0}, "p > 1"),
+    ("cgl", {"sigma": 0.0}, "sigma must be positive"),
+])
+def test_sections_check_their_invariants(section, changes, match):
+    # the same rules hold whether the suite config or a subcommand builds a section
+    text = resources.files("gwcommute").joinpath("data/default_suite.cfg").read_text()
+    valid = getattr(parse_suite_config(text), section)
+    with pytest.raises(ConfigError, match=match):
+        dataclasses.replace(valid, **changes)
 
 
 def test_config_parse_error_wrapped():

@@ -7,7 +7,8 @@ from a known-good build.  A refactor that changes nothing passes unchanged;
 re-pin only for a deliberate behaviour change, and log it in CHANGES.md.
 
 Everything runs with the working directory set to a temp dir and relative
-output paths, because ``cgl.plt`` embeds its output prefix.
+output paths; ``cgl.plt`` names its CSVs by basename, so no byte depends on
+the output directory.
 """
 import hashlib
 
@@ -29,7 +30,7 @@ SUITE_ARTIFACTS = {
     "cgl_weighted.csv":
         "c12adf0faa09c8327fbf902155fdf49722d23f2e0bef0ca6f7b050ffb8c6bf20",
     "cgl.plt":
-        "deb2f61c303fd005c0459703c25db580013538795813bb1fecd873ad5a1ddf25",
+        "5b62630ebb0e843b7d1d319c7d0f60ffac836f0699dbebae607f1f385a887d9b",
 }
 SUITE_STDOUT = "d41f4ba4f760719a280ad8728ab27916d2ee3ed2609f3f8d48cf734babaec241"
 
