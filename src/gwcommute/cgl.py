@@ -23,7 +23,7 @@ import numpy as np
 from .grid import GridFunction, boundary_mass_fraction, lp_norm, weight_multiply
 from .multiindex import enumerate_level
 from .parallel import ordered_map
-from .semigroup import xi_squared
+from .semigroup import check_omega, xi_squared
 
 DEFAULT_SMALLNESS = 0.05
 DEFAULT_BLOWUP_FACTOR = 10.0
@@ -32,6 +32,17 @@ DEFAULT_BOUNDARY_LIMIT = 1e-10
 
 class BlowupError(RuntimeError):
     """Raised when the sup-norm guard trips: data was not small enough."""
+
+
+def check_run(nu: complex, p_exponent: float, dim: int, dt: float, horizon: float) -> None:
+    """The equation's rule: finite nu with re nu > 0, p > 1 + 2/n, and a finite
+    positive step and horizon."""
+    check_omega(nu, "nu")
+    if not p_exponent > 1.0 + 2.0 / dim:
+        raise ValueError(f"cgl needs p > 1 + 2/n = {1.0 + 2.0 / dim}, got {p_exponent}")
+    for name, value in (("dt", dt), ("horizon", horizon)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"cgl {name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -48,15 +59,7 @@ class CGLConfig:
     snapshot_every: float = 0.5
 
     def __post_init__(self):
-        if complex(self.nu).real <= 0.0:
-            raise ValueError(f"re nu must be positive, got {self.nu}")
-        n = self.u0.dim
-        if not self.p_exponent > 1.0 + 2.0 / n:
-            raise ValueError(
-                f"need p > 1 + 2/n = {1.0 + 2.0 / n}, got {self.p_exponent}"
-            )
-        if self.dt <= 0 or self.horizon <= 0:
-            raise ValueError("dt and horizon must be positive")
+        check_run(self.nu, self.p_exponent, self.u0.dim, self.dt, self.horizon)
         size = lp_norm(self.u0, 1.0) + lp_norm(self.u0, math.inf)
         if size > self.smallness:
             raise ValueError(

@@ -34,7 +34,6 @@ from .parallel import ordered_map
 from .reporting import EstimateReport, format_value
 from .semigroup import (
     apply_fourier,
-    as_omega,
     convolve_weighted_kernel,
     derivative_multiplier,
     heat_multiplier,
@@ -115,7 +114,7 @@ def evaluate_R_theorem(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunct
     FFT(x^gamma phi); the group spectra are summed in expand_R_terms order,
     then the heat multiplier and the inverse transform are applied once.
     """
-    w = as_omega(omega)
+    w = complex(omega)
     groups = [list(terms) for _, terms in groupby(expand_R_terms(alpha),
                                                   key=lambda t: t.gamma)]
 
@@ -143,7 +142,7 @@ def convolution_pairs(alpha: MultiIndex) -> list[tuple[MultiIndex, MultiIndex, i
 
 def evaluate_R_convolution(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunction:
     """R_alpha(w) phi as sum of exact-kernel quadrature convolutions."""
-    w = as_omega(omega)
+    w = complex(omega)
     pairs = convolution_pairs(alpha)
 
     def one_pair(item) -> GridFunction:
@@ -181,7 +180,7 @@ def identity_reports(
     All pairs are denominated by ||direct||_2 (floored), so a zero input
     passes trivially and near-zero outputs cannot inflate the ratio.
     """
-    w = as_omega(omega)
+    w = complex(omega)
     direct = commutator_direct(alpha, w, phi)
     theorem = evaluate_R_theorem(alpha, w, phi)
     convolution = evaluate_R_convolution(alpha, w, phi)
@@ -217,7 +216,7 @@ def lemma_B2_identity(
     """
     if alpha.order < 1:
         raise ValueError("shift identity requires |alpha| >= 1")
-    w = as_omega(omega)
+    w = complex(omega)
     e_j = unit(alpha.dim, j)
     lhs = weight_multiply(evaluate_R_convolution(alpha, w, phi), e_j)
     rhs = evaluate_R_convolution(alpha + e_j, w, phi) - evaluate_R_convolution(

@@ -9,6 +9,12 @@ Value syntax inside a section:
 The parsers turn strings into values; the section types check, on
 construction, that the values make a valid harness input, whether the suite
 config or a CLI subcommand built them.  Both raise ConfigError (exit code 2).
+
+Each rule the library shares is defined once, next to the object it checks
+(grid.check_grid, grid.check_exponent, semigroup.check_omega,
+semigroup.check_theta, cgl.check_run); this module calls it and turns its
+ValueError into a ConfigError through as_config_error().  The rules kept here
+are the harnesses' own: non-empty lists, |alpha| >= 1, m >= 1, tolerance > 0.
 """
 from __future__ import annotations
 
@@ -18,8 +24,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .catalog import DEFAULT_CATALOG, GaussianComponent
+from .grid import check_exponent, check_grid
 from .multiindex import MultiIndex
-from .semigroup import check_oracle_grid
+from .semigroup import check_omega, check_oracle_grid, check_theta
 
 
 class ConfigError(Exception):
@@ -62,16 +69,12 @@ def parse_int(value, name: str) -> int:
 
 
 def parse_exponent(text: str) -> float:
-    text = text.strip()
-    if text == "inf":
-        return math.inf
     try:
         value = float(text)
     except ValueError:
-        raise ConfigError(f"bad exponent {text!r}")
-    if math.isnan(value) or value < 1.0:
-        raise ConfigError(f"exponent must be in [1, inf], got {text!r}")
-    return value
+        raise ConfigError(f"bad exponent {text.strip()!r}")
+    with as_config_error():
+        return check_exponent(value)
 
 
 def parse_multiindex(text: str) -> MultiIndex:
@@ -97,31 +100,20 @@ def parse_grid(text: str) -> tuple[int, float]:
         raise ConfigError(f"grid must be N,L; got {text!r}")
     points = parse_int(parts[0], "grid points")
     half_width = parse_finite(parts[1], "grid half-width")
-    if points < 8 or points & (points - 1):
-        raise ConfigError(f"grid points must be a power of two >= 8, got {points}")
-    if not half_width > 0:
-        raise ConfigError(f"grid half-width must be positive, got {text!r}")
+    with as_config_error():
+        check_grid(1, points, half_width)
     return points, half_width
-
-
-def check_theta(theta: float) -> float:
-    if not abs(theta) < math.pi / 2.0:
-        raise ConfigError(
-            f"theta = {theta} outside (-pi/2, pi/2); the constants diverge there"
-        )
-    return theta
-
-
-def check_omega(omega: complex) -> complex:
-    if not (math.isfinite(omega.real) and math.isfinite(omega.imag)):
-        raise ConfigError(f"omega must be finite, got {omega}")
-    if omega.real <= 0:
-        raise ConfigError(f"omega must have positive real part, got {omega}")
-    return omega
 
 
 # Section invariants: the paper's objects exist for |alpha| = m >= 1,
 # re omega > 0, q <= p and |theta| < pi/2.
+
+def _check_each(check, values) -> None:
+    """Apply a library rule to every value; its ValueError becomes a ConfigError."""
+    with as_config_error():
+        for value in values:
+            check(value)
+
 
 def _check_filled(section: str, **lists) -> None:
     for key, values in lists.items():
@@ -138,8 +130,7 @@ def _check_positive(name: str, values) -> None:
 def _check_inputs(dim: int, omegas, testfns) -> None:
     """The checks the identity and estimate sections share."""
     _check_positive("dim", [dim])
-    for omega in omegas:
-        check_omega(omega)
+    _check_each(check_omega, omegas)
     for name in testfns:
         if name not in DEFAULT_CATALOG:
             known = ", ".join(sorted(DEFAULT_CATALOG))
@@ -206,8 +197,8 @@ class ConstantsSection:
         _check_filled("constants", m_values=self.m_values, r_values=self.r_values,
                       thetas=self.thetas)
         _check_positive("constants m_values", self.m_values)
-        for theta in self.thetas:
-            check_theta(theta)
+        _check_each(check_exponent, self.r_values)
+        _check_each(check_theta, self.thetas)
 
 
 @dataclass(frozen=True)
@@ -222,8 +213,8 @@ class KernelNormsSection:
         _check_filled("kernel-norms", betas=self.betas, r_values=self.r_values,
                       thetas=self.thetas)
         _check_positive("kernel |beta|", [beta.order for beta in self.betas])
-        for theta in self.thetas:
-            check_theta(theta)
+        _check_each(check_exponent, self.r_values)
+        _check_each(check_theta, self.thetas)
 
 
 @dataclass(frozen=True)
@@ -241,20 +232,15 @@ class CGLSection:
     half_width: float
 
     def __post_init__(self):
-        from .cgl import step_count
+        from .cgl import check_run, step_count
 
-        check_omega(self.nu)
-        _check_positive("cgl m", [self.m])
-        if not self.dt > 0.0:
-            raise ConfigError(f"cgl dt must be positive, got {self.dt}")
-        if not self.horizon >= 2.0:
-            raise ConfigError("cgl horizon must be >= 2 (probes anchor at t = 1)")
         with as_config_error():
+            check_run(self.nu, self.p_exponent, 1, self.dt, self.horizon)  # a 1-d run
+            if not self.horizon >= 2.0:
+                raise ConfigError("cgl horizon must be >= 2 (probes anchor at t = 1)")
             step_count(self.horizon, self.dt)
-        if not self.p_exponent > 3.0:  # p > 1 + 2/n; the run is one-dimensional
-            raise ConfigError(f"cgl needs p > 1 + 2/n = 3, got {self.p_exponent}")
-        with as_config_error():
             GaussianComponent(sigma=self.sigma, amplitude=self.eps)
+        _check_positive("cgl m", [self.m])
 
 
 @dataclass(frozen=True)
@@ -353,7 +339,7 @@ _SECTIONS = {"identity": _identity, "estimate": _estimate, "constants": _constan
 
 
 def parse_suite_config(text: str) -> SuiteConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # no value syntax uses "%"
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -22,24 +22,16 @@ import math
 from dataclasses import dataclass
 
 from .commutator import NORM_FLOOR, commutator_direct, function_commutator
-from .grid import (
-    GridFunction,
-    lp_norm,
-    weight_multiply_radial,
-)
-from .multiindex import MultiIndex, enumerate_level
+from .grid import GridFunction, check_exponent, lp_norm, weight_multiply_radial
+from .multiindex import MultiIndex, enumerate_level, level_count
 from .parallel import ordered_map
 from .reporting import EstimateReport, format_exponent, format_value
-from .semigroup import ComplexParam, apply_fourier, weighted_kernel_grid
+from .semigroup import apply_fourier, check_omega, check_theta, weighted_kernel_grid
 
 
 def _reciprocal(p: float) -> float:
     """1/p with the convention 1/inf = 0."""
-    if math.isinf(p):
-        return 0.0
-    if p < 1.0:
-        raise ValueError(f"exponent must lie in [1, inf], got {p}")
-    return 1.0 / p
+    return 0.0 if check_exponent(p) == math.inf else 1.0 / p
 
 
 @dataclass(frozen=True)
@@ -73,24 +65,13 @@ class ExponentTriple:
         return math.inf if inv == 0.0 else 1.0 / inv
 
 
-def _check_angle(theta: float) -> float:
-    if not abs(theta) < math.pi / 2.0:
-        raise ValueError(f"theta must satisfy |theta| < pi/2, got {theta}")
-    return math.cos(theta)
-
-
-def _multiplicity(n: int, m: int) -> int:
-    """Number of multi-indices of order m: (n+m-1)!/((n-1)! m!)."""
-    return math.comb(n + m - 1, m)
-
-
 def _shared_factor(n: int, m: int, r: float, theta: float) -> float:
     """The theta- and r-dependent part common to A and A~."""
     if m < 1:
         raise ValueError("weight order m must be >= 1")
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    cos_t = _check_angle(theta)
+    cos_t = math.cos(check_theta(theta))
     inv_r = _reciprocal(r)
     gauss = (4.0 * math.pi) ** (-(n / 2.0) * (1.0 - inv_r))
     if inv_r == 0.0:
@@ -102,7 +83,7 @@ def _shared_factor(n: int, m: int, r: float, theta: float) -> float:
 
 
 def constant_A(n: int, m: int, r: float, theta: float) -> float:
-    return _multiplicity(n, m) * _shared_factor(n, m, r, theta)
+    return level_count(n, m) * _shared_factor(n, m, r, theta)
 
 
 def constant_A_tilde(n: int, m: int, r: float, theta: float) -> float:
@@ -113,7 +94,7 @@ def sup_gaussian_moment(k: int, theta: float) -> float:
     """sup_x |x|^k exp(-(cos theta / 8)|x|^2) = (4k/(e cos theta))^{k/2}."""
     if k < 1:
         raise ValueError("moment order k must be >= 1")
-    cos_t = _check_angle(theta)
+    cos_t = math.cos(check_theta(theta))
     return (4.0 * k / (math.e * cos_t)) ** (k / 2.0)
 
 
@@ -132,11 +113,11 @@ def _estimate_params(n: int, m: int, triple: ExponentTriple, omega: complex,
     )
 
 
-def weighted_rhs(m: int, triple: ExponentTriple, omega: ComplexParam,
+def weighted_rhs(m: int, triple: ExponentTriple, omega: complex,
                  phi: GridFunction, constant: float) -> float:
     """constant * |w|^{-(n/2)(1/q-1/p)} (|w|^{1/2}|||x|^{m-1}phi||_q + |w|^{m/2}||phi||_q)."""
     n = phi.dim
-    mod = omega.modulus
+    mod = abs(omega)
     lower = lp_norm(weight_multiply_radial(phi, m - 1), triple.q)
     plain = lp_norm(phi, triple.q)
     scale = math.exp(-(n / 2.0) * (triple.inv_q - triple.inv_p) * math.log(mod))
@@ -146,22 +127,23 @@ def weighted_rhs(m: int, triple: ExponentTriple, omega: ComplexParam,
 def verify_theorem_1_2(m: int, triple: ExponentTriple, omega,
                        phi: GridFunction, testfn: str = "") -> EstimateReport:
     """Sum of monomial-weight commutator p-norms against the A-bound."""
-    param = omega if isinstance(omega, ComplexParam) else ComplexParam(complex(omega))
+    w = check_omega(omega)
+    theta = math.atan2(w.imag, w.real)
     n = phi.dim
     level = enumerate_level(n, m)
     norms = ordered_map(
-        lambda alpha: lp_norm(commutator_direct(alpha, param.omega, phi), triple.p),
+        lambda alpha: lp_norm(commutator_direct(alpha, w, phi), triple.p),
         level,
     )
     lhs = math.fsum(norms)
-    constant = constant_A(n, m, triple.r, param.theta)
-    rhs = weighted_rhs(m, triple, param, phi, constant)
+    constant = constant_A(n, m, triple.r, theta)
+    rhs = weighted_rhs(m, triple, w, phi, constant)
     return EstimateReport(
         check="weighted-estimate",
         lhs=lhs,
         rhs=rhs,
         constant=constant,
-        params=_estimate_params(n, m, triple, param.omega, param.theta, testfn),
+        params=_estimate_params(n, m, triple, w, theta, testfn),
     )
 
 
@@ -176,17 +158,18 @@ def radial_commutator(m: int, omega, phi: GridFunction) -> GridFunction:
 def verify_radial_remark(m: int, triple: ExponentTriple, omega,
                          phi: GridFunction, testfn: str = "") -> EstimateReport:
     """Radial-weight commutator against the multiplicity-free A~-bound."""
-    param = omega if isinstance(omega, ComplexParam) else ComplexParam(complex(omega))
+    w = check_omega(omega)
+    theta = math.atan2(w.imag, w.real)
     n = phi.dim
-    lhs = lp_norm(radial_commutator(m, param.omega, phi), triple.p)
-    constant = constant_A_tilde(n, m, triple.r, param.theta)
-    rhs = weighted_rhs(m, triple, param, phi, constant)
+    lhs = lp_norm(radial_commutator(m, w, phi), triple.p)
+    constant = constant_A_tilde(n, m, triple.r, theta)
+    rhs = weighted_rhs(m, triple, w, phi, constant)
     return EstimateReport(
         check="radial-remark",
         lhs=lhs,
         rhs=rhs,
         constant=constant,
-        params=_estimate_params(n, m, triple, param.omega, param.theta, testfn),
+        params=_estimate_params(n, m, triple, w, theta, testfn),
     )
 
 
@@ -198,13 +181,14 @@ def verify_lipschitz_commutator(eta: GridFunction, grad_bound: float,
     grad_bound must be the analytic sup-norm of grad eta; grid maxima
     underestimate it and are not accepted.
     """
-    param = omega if isinstance(omega, ComplexParam) else ComplexParam(complex(omega))
+    w = check_omega(omega)
+    theta = math.atan2(w.imag, w.real)
     n = phi.dim
     if grad_bound < 0:
         raise ValueError("Lipschitz constant must be >= 0")
-    lhs = lp_norm(function_commutator(eta, param.omega, phi), triple.p)
-    constant = constant_A(n, 1, triple.r, param.theta)
-    mod = param.modulus
+    lhs = lp_norm(function_commutator(eta, w, phi), triple.p)
+    constant = constant_A(n, 1, triple.r, theta)
+    mod = abs(w)
     scale = math.exp((-(n / 2.0) * (triple.inv_q - triple.inv_p) + 0.5) * math.log(mod))
     rhs = constant * scale * grad_bound * lp_norm(phi, triple.q)
     return EstimateReport(
@@ -212,7 +196,7 @@ def verify_lipschitz_commutator(eta: GridFunction, grad_bound: float,
         lhs=lhs,
         rhs=rhs,
         constant=constant,
-        params=_estimate_params(n, 1, triple, param.omega, param.theta, testfn),
+        params=_estimate_params(n, 1, triple, w, theta, testfn),
     )
 
 
@@ -223,7 +207,7 @@ def kernel_moment_bound_report(beta: MultiIndex, theta: float, r: float,
         || x^beta G_{e^{i theta}} ||_r
             <= 2^{n/2} || G_{2 e^{i theta}} ||_r * sup_gaussian_moment(|beta|, theta).
     """
-    _check_angle(theta)
+    check_theta(theta)
     n = beta.dim
     direction = complex(math.cos(theta), math.sin(theta))
     lhs = lp_norm(weighted_kernel_grid(beta, direction, points, half_width), r)

@@ -20,6 +20,23 @@ _MAGIC = b"GWGF"
 _FORMAT_VERSION = 1
 
 
+def check_grid(dim: int, points: int, half_width: float) -> None:
+    """The grid rule: n >= 1, N a power of two >= 8, L finite and positive."""
+    if dim < 1:
+        raise ValueError(f"grid needs dimension n >= 1, got {dim}")
+    if points < 8 or points & (points - 1):
+        raise ValueError(f"grid points must be a power of two >= 8, got {points}")
+    if not 0.0 < half_width < math.inf:
+        raise ValueError(f"grid half-width must be finite and positive, got {half_width!r}")
+
+
+def check_exponent(p: float) -> float:
+    """The exponent rule: 1 <= p <= inf (nan fails)."""
+    if not 1.0 <= p <= math.inf:
+        raise ValueError(f"exponent must lie in [1, inf], got {p}")
+    return p
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Samples of a function on the uniform grid x in [-L, L)^n."""
@@ -30,12 +47,7 @@ class GridFunction:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.points < 8 or self.points & (self.points - 1):
-            raise ValueError("points per axis must be a power of two, >= 8")
-        if self.half_width <= 0:
-            raise ValueError("box half-width must be positive")
+        check_grid(self.dim, self.points, self.half_width)
         arr = np.ascontiguousarray(self.samples, dtype=np.complex128)
         if arr.shape != (self.points,) * self.dim:
             raise ValueError(f"samples shape {arr.shape} != {(self.points,) * self.dim}")
@@ -99,10 +111,8 @@ def from_callable(fn, dim: int, points: int, half_width: float) -> GridFunction:
 
 def lp_norm(phi: GridFunction, p: float) -> float:
     """Grid L^p norm: (h^n sum |phi|^p)^(1/p) for finite p, max |phi| for p = inf."""
-    if p == math.inf:
+    if check_exponent(p) == math.inf:
         return float(np.max(np.abs(phi.samples)))
-    if p < 1:
-        raise ValueError("exponent p must lie in [1, inf]")
     mags = np.abs(phi.samples)
     if p == 1.0:
         return float(phi.cell_volume * mags.sum())
@@ -184,10 +194,7 @@ def _gwgf_header(dim_f: float, points_f: float, half_width: float) -> tuple[int,
     if not (dim_f.is_integer() and points_f.is_integer()):
         raise ValueError(f"GWGF header n={dim_f!r}, N={points_f!r} is not integral")
     dim, points = int(dim_f), int(points_f)
-    if dim < 1 or points < 8 or points & (points - 1):
-        raise ValueError(f"GWGF header n={dim}, N={points}: need n >= 1, N a power of two >= 8")
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise ValueError(f"GWGF header L={half_width!r} must be finite and positive")
+    check_grid(dim, points, half_width)
     return dim, points
 
 

@@ -13,7 +13,6 @@ across axes and keeps the cost at O(n N^{n+1}) instead of O(N^{2n}).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -29,41 +28,28 @@ _ORACLE_MAX_POINTS = 512
 _ORACLE_MAX_SAMPLES = 1 << 22
 
 
-@dataclass(frozen=True)
-class ComplexParam:
-    """Semigroup time w with re w > 0; theta = arg w lies in (-pi/2, pi/2)."""
-
-    omega: complex
-
-    def __post_init__(self):
-        w = complex(self.omega)
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            raise ValueError("omega must be finite")
-        if w.real <= 0.0:
-            raise ValueError(f"re omega must be positive, got {w}")
-        object.__setattr__(self, "omega", w)
-
-    @property
-    def modulus(self) -> float:
-        return abs(self.omega)
-
-    @property
-    def theta(self) -> float:
-        return math.atan2(self.omega.imag, self.omega.real)
-
-    @property
-    def direction(self) -> complex:
-        """e^{i theta} = omega / |omega|."""
-        return self.omega / abs(self.omega)
+def check_omega(omega, name: str = "omega") -> complex:
+    """The semigroup time rule: w finite with re w > 0; returns complex(w)."""
+    w = complex(omega)
+    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+        raise ValueError(f"{name} must be finite, got {w}")
+    if not w.real > 0.0:
+        raise ValueError(f"{name} must have positive real part, got {w}")
+    return w
 
 
-def as_omega(value) -> complex:
-    return value.omega if isinstance(value, ComplexParam) else complex(value)
+def check_theta(theta: float) -> float:
+    """The angle rule: theta = arg w with |theta| < pi/2 (nan fails)."""
+    if not abs(theta) < math.pi / 2.0:
+        raise ValueError(
+            f"theta = {theta} outside (-pi/2, pi/2); the constants diverge there"
+        )
+    return theta
 
 
 def kernel(omega, x) -> complex:
     """G_w(x) = (4 pi w)^{-n/2} exp(-|x|^2/(4w)), principal branch."""
-    return gaussian_kernel_point(as_omega(omega), x)
+    return gaussian_kernel_point(complex(omega), x)
 
 
 def _axis_gaussian(omega: complex, t: np.ndarray) -> np.ndarray:
@@ -78,7 +64,7 @@ def _axis_gaussian(omega: complex, t: np.ndarray) -> np.ndarray:
 
 def kernel_grid(omega, dim: int, points: int, half_width: float) -> GridFunction:
     """Samples of G_w on the standard grid."""
-    if as_omega(omega) == 0:
+    if complex(omega) == 0:
         raise ValueError("omega must be nonzero")
     return weighted_kernel_grid(zero(dim), omega, points, half_width)
 
@@ -86,7 +72,7 @@ def kernel_grid(omega, dim: int, points: int, half_width: float) -> GridFunction
 def weighted_kernel_grid(beta: MultiIndex, omega, points: int,
                          half_width: float) -> GridFunction:
     """Samples of x^beta G_w (kernel of one convolution term)."""
-    w = as_omega(omega)
+    w = complex(omega)
     template = GridFunction(beta.dim, points, half_width,
                             np.zeros((points,) * beta.dim))
     x = template.axis()
@@ -135,7 +121,7 @@ def heat_multiplier(phi: GridFunction, omega) -> np.ndarray:
 
     Cached and shared by every caller, hence read-only.
     """
-    w = as_omega(omega)
+    w = complex(omega)
     if w.real < 0.0:
         raise ValueError(f"re omega must be >= 0, got {w}")
     return _heat_multiplier(phi.dim, phi.points, phi.half_width, w)
@@ -146,7 +132,7 @@ def apply_fourier(phi: GridFunction, omega) -> GridFunction:
 
     Accepts any re w >= 0 (w = 0 is the identity); linear in phi.
     """
-    w = as_omega(omega)
+    w = complex(omega)
     multiplier = heat_multiplier(phi, w)
     if w == 0:
         return phi
@@ -190,9 +176,7 @@ def convolve_weighted_kernel(beta: MultiIndex, omega, phi: GridFunction) -> Grid
     Computes h^n sum_y prod_j [(x_j - y_j)^{beta_j} g_w(x_j - y_j)] phi(y)
     by applying the 1-d Toeplitz matrix of each axis factor in turn.
     """
-    w = as_omega(omega)
-    if w.real <= 0.0:
-        raise ValueError(f"re omega must be positive, got {w}")
+    w = check_omega(omega)
     if beta.dim != phi.dim:
         raise ValueError(f"weight dim {beta.dim} != grid dim {phi.dim}")
     check_oracle_grid(phi.dim, phi.points)

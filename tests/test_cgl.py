@@ -32,6 +32,12 @@ def small_gaussian(eps=0.01, sigma=1.0, points=1024, half_width=32.0):
     )
 
 
+def wide_gaussian(half_width):
+    """small_gaussian at the default spacing h = 1/16 on a box wide enough that
+    the run's boundary mass fraction stays below its 1e-10 limit."""
+    return small_gaussian(points=int(16 * 2 * half_width), half_width=half_width)
+
+
 def config(**overrides):
     base = dict(
         nu=1.0,
@@ -131,7 +137,8 @@ def test_blowup_guard_trips_on_strong_focusing():
 
 
 def test_defocusing_mass_is_monotone():
-    cfg = config(lam=-1.0, dt=0.05, horizon=3.0, snapshot_every=0.25)
+    cfg = config(lam=-1.0, dt=0.05, horizon=3.0, snapshot_every=0.25,
+                 u0=wide_gaussian(64.0))
     run = simulate(cfg)
     masses = [u.samples.sum().real * u.cell_volume for u in run.states]
     assert all(b < a for a, b in zip(masses, masses[1:]))
@@ -140,7 +147,7 @@ def test_defocusing_mass_is_monotone():
 
 
 def test_linear_decay_records_r1_exactly_constant():
-    run = simulate(config(lam=0.0, horizon=4.0))
+    run = simulate(config(lam=0.0, horizon=4.0, u0=wide_gaussian(64.0)))
     recs = [rec for rec in decay_records(run, r_values=(1.0,))]
     values = [rec.value for rec in recs]
     assert max(values) - min(values) <= 1e-10 * values[0]
@@ -148,7 +155,7 @@ def test_linear_decay_records_r1_exactly_constant():
 
 
 def test_linear_decay_records_all_r_bounded():
-    run = simulate(config(lam=0.0, horizon=4.0))
+    run = simulate(config(lam=0.0, horizon=4.0, u0=wide_gaussian(64.0)))
     recs = decay_records(run)
     assert decay_bounded(recs)
     # sup-norm decays like t^{-1/2}: the raw norms fall, the compensated
@@ -160,7 +167,7 @@ def test_linear_decay_records_all_r_bounded():
 def test_weighted_records_linear_reference():
     # lam = 0, m = 1, q = 1: W(t) = eps sqrt(4 (sigma + t) / pi); the odd
     # weight |x| puts a kink at 0, so the grid norm is O(h^2) ~ 2e-4 here
-    run = simulate(config(lam=0.0, horizon=4.0))
+    run = simulate(config(lam=0.0, horizon=4.0, u0=wide_gaussian(64.0)))
     recs = weighted_records(run, 1, 1.0)
     for rec in recs:
         want = 0.01 * math.sqrt(4.0 * (1.0 + rec.t) / math.pi)
@@ -185,7 +192,7 @@ def test_grid_refinement_stability():
 
 
 def test_fit_loglog_slope_linear_case():
-    run = simulate(config(lam=0.0, dt=0.02, horizon=16.0))
+    run = simulate(config(lam=0.0, dt=0.02, horizon=16.0, u0=wide_gaussian(128.0)))
     recs = weighted_records(run, 1, 1.0)
     # W ~ sqrt(sigma + t): slope tends to 1/2 from below; on [4, 16] with
     # sigma = 1 the analytic least-squares value is ~0.45

@@ -319,6 +319,17 @@ def test_suite_missing_config_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_suite_percent_in_value_is_config_error(tmp_path, capsys):
+    # no value syntax uses "%", so configparser must not read it as interpolation
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL_SUITE.replace("m_values = 1\n", "m_values = 1%\n"))
+    out_dir = tmp_path / "out"
+    code = main(["suite", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_suite_theta_out_of_range_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(

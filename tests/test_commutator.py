@@ -20,7 +20,7 @@ from gwcommute.grid import GridFunction, from_callable, lp_norm, rel_l2_error, w
 from gwcommute.hermite import hermite_closed_form
 from gwcommute.laurent import LaurentPoly
 from gwcommute.multiindex import MultiIndex, enumerate_up_to, factorial
-from gwcommute.semigroup import as_omega, frequencies, kernel, xi_squared
+from gwcommute.semigroup import frequencies, kernel, xi_squared
 
 
 def gaussian_grid(omega, points=512, half_width=16.0):
@@ -40,7 +40,7 @@ def evaluate_R_theorem_fused(alpha, omega, phi):
     scalar) multiplies FFT(x^gamma phi).  The group spectra are added in
     expand_R_terms order, then exp(-w |xi|^2) and one inverse FFT.
     """
-    w = as_omega(omega)
+    w = complex(omega)
     ixi = 1j * frequencies(phi.points, phi.half_width)
     symbols = {}
     for term in expand_R_terms(alpha):

@@ -1,14 +1,17 @@
 """Suite-config parsing: value syntax, validation, and the packaged default."""
 import dataclasses
 import math
+import struct
+
+import numpy as np
 
 import pytest
 from importlib import resources
 
+from gwcommute.cgl import CGLConfig
 from gwcommute.config import (
     ConfigError,
-    check_omega,
-    check_theta,
+    ConstantsSection,
     parse_complex,
     parse_exponent,
     parse_finite,
@@ -16,7 +19,10 @@ from gwcommute.config import (
     parse_multiindex,
     parse_suite_config,
 )
+from gwcommute.estimates import ExponentTriple, constant_A
+from gwcommute.grid import GridFunction, load_gwgf, lp_norm
 from gwcommute.multiindex import MultiIndex
+from gwcommute.semigroup import check_omega, check_theta, convolve_weighted_kernel
 
 
 # ---------------------------------------------------------------- value syntax
@@ -73,23 +79,6 @@ def test_parse_grid():
 def test_parse_grid_rejects(text):
     with pytest.raises(ConfigError):
         parse_grid(text)
-
-
-def test_check_theta():
-    assert check_theta(1.2) == 1.2
-    assert check_theta(-1.5) == -1.5
-    # pi/2 is excluded: the estimate constants blow up as cos(theta) -> 0.
-    for theta in (1.58, -1.58, math.pi / 2.0):
-        with pytest.raises(ConfigError):
-            check_theta(theta)
-
-
-def test_check_omega():
-    assert check_omega(complex(0.5, -3.0)) == complex(0.5, -3.0)
-    for omega in (complex(0, 1), complex(-1, 0), complex(math.nan, 0),
-                  complex(1, math.nan), complex(math.inf, 0), complex(1, -math.inf)):
-        with pytest.raises(ConfigError):
-            check_omega(omega)
 
 
 # ------------------------------------------------------------- packaged default
@@ -311,6 +300,8 @@ def test_identity_rejects_non_finite_tolerance(value):
     ("cgl", {"dt": 0.03}, "integer multiple of dt"),
     ("cgl", {"p_exponent": 3.0}, "p > 1"),
     ("cgl", {"sigma": 0.0}, "sigma must be positive"),
+    ("constants", {"r_values": (0.5,)}, "exponent must lie in"),
+    ("kernel_norms", {"r_values": (math.nan,)}, "exponent must lie in"),
 ])
 def test_sections_check_their_invariants(section, changes, match):
     # the same rules hold whether the suite config or a subcommand builds a section
@@ -323,3 +314,76 @@ def test_sections_check_their_invariants(section, changes, match):
 def test_config_parse_error_wrapped():
     with pytest.raises(ConfigError, match="parse error"):
         parse_suite_config("not an ini file [ suite")
+
+
+# ------------------------------------- one rule, library and config agree
+# Each input rule has one definition in the library and the config boundary
+# calls it, so a value the library rejects with ValueError, the config rejects
+# with ConfigError (exit code 2).
+
+def default_section(name):
+    text = resources.files("gwcommute").joinpath("data/default_suite.cfg").read_text()
+    return getattr(parse_suite_config(text), name)
+
+
+@pytest.mark.parametrize("points, half_width", [
+    (8, math.nan), (8, math.inf), (8, 0.0), (8, -2.0), (12, 2.0),
+])
+def test_grid_rule_library_and_config_agree(tmp_path, points, half_width):
+    with pytest.raises(ValueError):
+        GridFunction(1, points, half_width, np.zeros(points))
+    path = tmp_path / "bad.gwgf"
+    path.write_bytes(b"GWGF" + struct.pack("<I3d", 1, 1.0, points, half_width)
+                     + bytes(16 * points))
+    with pytest.raises(ValueError):
+        load_gwgf(path)
+    with pytest.raises(ConfigError):
+        parse_grid(f"{points},{half_width}")
+
+
+@pytest.mark.parametrize("p", [math.nan, 0.5, -math.inf])
+def test_exponent_rule_library_and_config_agree(p):
+    phi = GridFunction(1, 8, 2.0, np.ones(8))
+    with pytest.raises(ValueError):
+        lp_norm(phi, p)
+    with pytest.raises(ValueError):
+        ExponentTriple(p, 1.0)
+    with pytest.raises(ValueError):
+        constant_A(1, 1, p, 0.0)
+    with pytest.raises(ConfigError):
+        parse_exponent(str(p))
+
+
+@pytest.mark.parametrize("omega", [
+    complex(math.nan, 0), complex(1, math.inf), complex(0, 1), complex(-1, 0),
+])
+def test_omega_rule_library_and_config_agree(omega):
+    phi = GridFunction(1, 8, 2.0, np.ones(8))
+    with pytest.raises(ValueError):
+        check_omega(omega)
+    with pytest.raises(ValueError):
+        convolve_weighted_kernel(MultiIndex((1,)), omega, phi)
+    with pytest.raises(ConfigError):
+        dataclasses.replace(default_section("identity"), omegas=(omega,))
+
+
+@pytest.mark.parametrize("changes", [
+    {"nu": complex(math.nan, 0)}, {"nu": complex(1, math.inf)}, {"nu": complex(-1, 0)},
+    {"dt": math.inf}, {"dt": math.nan}, {"dt": 0.0}, {"horizon": math.nan},
+], ids=["nu=nan", "nu=1+inf*j", "nu=-1", "dt=inf", "dt=nan", "dt=0", "horizon=nan"])
+def test_cgl_rule_library_and_config_agree(changes):
+    run = dict(nu=complex(1, 0), lam=complex(-1, 0), p_exponent=4.0, dt=0.01, horizon=2.0)
+    with pytest.raises(ValueError):
+        CGLConfig(u0=GridFunction(1, 8, 2.0, np.zeros(8)), **{**run, **changes})
+    with pytest.raises(ConfigError):
+        dataclasses.replace(default_section("cgl"), **changes)
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, -math.pi / 2, math.nan])
+def test_theta_rule_library_and_config_agree(theta):
+    with pytest.raises(ValueError):
+        check_theta(theta)
+    with pytest.raises(ValueError):
+        constant_A(1, 1, 1.0, theta)
+    with pytest.raises(ConfigError):
+        ConstantsSection(dim=1, m_values=(1,), r_values=(1.0,), thetas=(theta,))

@@ -19,7 +19,6 @@ from gwcommute.estimates import (
 )
 from gwcommute.grid import from_callable, lp_norm, rel_l2_error, weight_multiply_radial
 from gwcommute.multiindex import MultiIndex
-from gwcommute.semigroup import ComplexParam
 
 INF = math.inf
 
@@ -175,8 +174,7 @@ def test_margin_is_dilation_invariant():
 def test_weighted_rhs_formula_spot_value():
     phi = gaussian_grid(0.5)
     triple = ExponentTriple(2.0, 1.0)
-    omega = ComplexParam(4.0)
-    got = weighted_rhs(2, triple, omega, phi, 10.0)
+    got = weighted_rhs(2, triple, 4.0, phi, 10.0)
     lower = lp_norm(weight_multiply_radial(phi, 1), 1.0)
     plain = lp_norm(phi, 1.0)
     want = 10.0 * 4.0 ** (-0.25) * (2.0 * lower + 4.0 * plain)

@@ -7,11 +7,11 @@ from gwcommute.grid import GridFunction, from_callable, lp_norm, rel_l2_error, w
 from gwcommute.hermite import gaussian_log_prefactor
 from gwcommute.multiindex import MultiIndex, enumerate_up_to
 from gwcommute.semigroup import (
-    ComplexParam,
     _heat_multiplier,
     apply_direct,
-    as_omega,
     apply_fourier,
+    check_omega,
+    check_theta,
     convolve_weighted_kernel,
     derivative_multiplier,
     frequencies,
@@ -29,9 +29,7 @@ def apply_direct_naive(phi, omega):
 
     Exists to pin down that the Toeplitz restructuring changes nothing.
     """
-    w = as_omega(omega)
-    if w.real <= 0.0:
-        raise ValueError(f"re omega must be positive, got {w}")
+    w = check_omega(omega)
     if phi.points**phi.dim > 4096:
         raise ValueError("naive oracle restricted to <= 4096 samples")
     mesh = phi.meshgrid()
@@ -50,14 +48,14 @@ def apply_direct_naive(phi, omega):
 def apply_fourier_uncached(phi, omega):
     """e^{w*Laplacian} phi with the multiplier rebuilt on every call."""
     spectrum = np.fft.fftn(phi.samples)
-    spectrum *= np.exp(-as_omega(omega) * xi_squared(phi))
+    spectrum *= np.exp(-complex(omega) * xi_squared(phi))
     return phi.with_samples(np.fft.ifftn(spectrum))
 
 
 def convolve_weighted_kernel_dense(beta, omega, phi):
     """The quadrature oracle with each Toeplitz matrix evaluated on the N x N
     coordinate differences x_i - x_j, not gathered from 2N-1 offsets."""
-    w = as_omega(omega)
+    w = complex(omega)
     x = phi.axis()
     diff = x[:, None] - x[None, :]
     base = np.exp(gaussian_log_prefactor(w, 1)) * np.exp(-np.square(diff) / (4.0 * w))
@@ -83,15 +81,26 @@ def gaussian_grid(omega, points=512, half_width=16.0, dim=1):
     return from_callable(fn, dim, points, half_width)
 
 
-def test_complex_param_validation():
-    p = ComplexParam(1 + 1j)
-    assert p.modulus == pytest.approx(math.sqrt(2))
-    assert p.theta == pytest.approx(math.pi / 4)
-    assert p.direction == pytest.approx(complex(math.cos(math.pi / 4),
-                                                math.sin(math.pi / 4)))
-    for bad in (0, -1, 1j, -0.5 + 2j, float("nan")):
+def test_check_omega():
+    assert check_omega(complex(0.5, -3.0)) == complex(0.5, -3.0)
+    assert check_omega(1 + 1j) == complex(1, 1)
+    assert check_omega(2) == complex(2, 0)
+    for omega in (complex(0, 1), complex(-1, 0), complex(math.nan, 0),
+                  complex(1, math.nan), complex(math.inf, 0), complex(1, -math.inf),
+                  0, -1, 1j, -0.5 + 2j, float("nan")):
         with pytest.raises(ValueError):
-            ComplexParam(bad)
+            check_omega(omega)
+    with pytest.raises(ValueError, match="nu must have positive real part"):
+        check_omega(-1, "nu")
+
+
+def test_check_theta():
+    assert check_theta(1.2) == 1.2
+    assert check_theta(-1.5) == -1.5
+    # pi/2 is excluded: the estimate constants blow up as cos(theta) -> 0.
+    for theta in (1.58, -1.58, math.pi / 2.0):
+        with pytest.raises(ValueError):
+            check_theta(theta)
 
 
 def test_kernel_point_values():
