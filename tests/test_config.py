@@ -12,6 +12,7 @@ from gwcommute.cgl import CGLConfig
 from gwcommute.config import (
     ConfigError,
     ConstantsSection,
+    as_config_error,
     parse_complex,
     parse_exponent,
     parse_finite,
@@ -79,6 +80,17 @@ def test_parse_grid():
 def test_parse_grid_rejects(text):
     with pytest.raises(ConfigError):
         parse_grid(text)
+
+
+def test_check_omega():
+    # The config applies the library's omega rule and reports a ConfigError.
+    with as_config_error():
+        assert check_omega(complex(0.5, -3.0)) == complex(0.5, -3.0)
+    for omega in (complex(0, 1), complex(-1, 0), complex(math.nan, 0),
+                  complex(1, math.nan), complex(math.inf, 0), complex(1, -math.inf)):
+        with pytest.raises(ConfigError):
+            with as_config_error():
+                check_omega(omega)
 
 
 # ------------------------------------------------------------- packaged default

@@ -81,13 +81,23 @@ def gaussian_grid(omega, points=512, half_width=16.0, dim=1):
     return from_callable(fn, dim, points, half_width)
 
 
+def test_complex_param_validation():
+    w = check_omega(1 + 1j)
+    assert w == complex(1, 1)
+    assert abs(w) == pytest.approx(math.sqrt(2))
+    assert check_theta(math.atan2(w.imag, w.real)) == pytest.approx(math.pi / 4)
+    assert w / abs(w) == pytest.approx(complex(math.cos(math.pi / 4),
+                                               math.sin(math.pi / 4)))
+    for bad in (0, -1, 1j, -0.5 + 2j, float("nan")):
+        with pytest.raises(ValueError):
+            check_omega(bad)
+
+
 def test_check_omega():
     assert check_omega(complex(0.5, -3.0)) == complex(0.5, -3.0)
-    assert check_omega(1 + 1j) == complex(1, 1)
     assert check_omega(2) == complex(2, 0)
     for omega in (complex(0, 1), complex(-1, 0), complex(math.nan, 0),
-                  complex(1, math.nan), complex(math.inf, 0), complex(1, -math.inf),
-                  0, -1, 1j, -0.5 + 2j, float("nan")):
+                  complex(1, math.nan), complex(math.inf, 0), complex(1, -math.inf)):
         with pytest.raises(ValueError):
             check_omega(omega)
     with pytest.raises(ValueError, match="nu must have positive real part"):
