@@ -22,7 +22,6 @@ import numpy as np
 
 from .grid import GridFunction, boundary_mass_fraction, lp_norm, weight_multiply
 from .multiindex import enumerate_level
-from .parallel import ordered_map
 from .semigroup import check_omega, xi_squared
 
 DEFAULT_SMALLNESS = 0.05
@@ -53,17 +52,14 @@ class CGLConfig:
     u0: GridFunction
     dt: float
     horizon: float
-    smallness: float = DEFAULT_SMALLNESS
-    blowup_factor: float = DEFAULT_BLOWUP_FACTOR
-    boundary_limit: float = DEFAULT_BOUNDARY_LIMIT
     snapshot_every: float = 0.5
 
     def __post_init__(self):
         check_run(self.nu, self.p_exponent, self.u0.dim, self.dt, self.horizon)
         size = lp_norm(self.u0, 1.0) + lp_norm(self.u0, math.inf)
-        if size > self.smallness:
+        if size > DEFAULT_SMALLNESS:
             raise ValueError(
-                f"||u0||_1 + ||u0||_inf = {size:.4g} exceeds smallness {self.smallness}"
+                f"||u0||_1 + ||u0||_inf = {size:.4g} exceeds smallness {DEFAULT_SMALLNESS}"
             )
 
     def nonlinearity(self, samples: np.ndarray) -> np.ndarray:
@@ -109,7 +105,7 @@ class _Stepper:
         xi_sq = xi_squared(cfg.u0)
         self.full = np.exp(-cfg.nu * dt * xi_sq)
         self.half = np.exp(-cfg.nu * (dt / 2.0) * xi_sq)
-        self.sup_limit = cfg.blowup_factor * lp_norm(cfg.u0, math.inf)
+        self.sup_limit = DEFAULT_BLOWUP_FACTOR * lp_norm(cfg.u0, math.inf)
 
     def advance(self, u: GridFunction) -> GridFunction:
         spectrum = np.fft.fftn(u.samples)
@@ -120,7 +116,7 @@ class _Stepper:
         if float(np.max(np.abs(samples))) > self.sup_limit:
             raise BlowupError(
                 "sup-norm guard tripped: |u| exceeded "
-                f"{self.cfg.blowup_factor} x its initial value"
+                f"{DEFAULT_BLOWUP_FACTOR} x its initial value"
             )
         return u.with_samples(samples)
 
@@ -137,7 +133,7 @@ def simulate(cfg: CGLConfig) -> CGLRun:
     """Integrate to the horizon, keeping snapshots every cfg.snapshot_every.
 
     The mass fraction at grid distance >= L/2 from the origin is tracked per
-    snapshot; the run warns (once) if it ever exceeds cfg.boundary_limit.
+    snapshot; the run warns (once) if it ever exceeds DEFAULT_BOUNDARY_LIMIT.
     Free spreading reaches that band eventually, so this is a diagnostic for
     judging late-time probe trust, not an abort.
     """
@@ -154,10 +150,10 @@ def simulate(cfg: CGLConfig) -> CGLRun:
             times.append(k * cfg.dt)
             states.append(u)
             boundary_max = max(boundary_max, boundary_mass_fraction(u))
-    if boundary_max > cfg.boundary_limit:
+    if boundary_max > DEFAULT_BOUNDARY_LIMIT:
         warnings.warn(
             f"boundary mass fraction reached {boundary_max:.3e} "
-            f"(limit {cfg.boundary_limit:.1e}); late-time weighted norms carry "
+            f"(limit {DEFAULT_BOUNDARY_LIMIT:.1e}); late-time weighted norms carry "
             "truncation error",
             RuntimeWarning,
             stacklevel=2,
@@ -175,25 +171,19 @@ def decay_records(run: CGLRun, r_values=(1.0, 2.0, math.inf)) -> list[DecayRecor
     records = []
     for r in r_values:
         exponent = decay_exponent(n, r)
-        norms = ordered_map(lambda u, rr=r: lp_norm(u, rr), run.states)
-        for t, value in zip(run.times, norms):
-            records.append(DecayRecord(t, r, (1.0 + t) ** exponent * value))
+        for t, u in zip(run.times, run.states):
+            records.append(DecayRecord(t, r, (1.0 + t) ** exponent * lp_norm(u, r)))
     return records
 
 
 def weighted_records(run: CGLRun, m: int, q: float) -> list[WeightedRecord]:
     """W(t) = sum_{|a|=m} ||x^a u(t)||_q along the snapshots."""
-    n = run.config.u0.dim
-    level = enumerate_level(n, m)
-
-    def w_of(u: GridFunction) -> float:
-        return math.fsum(lp_norm(weight_multiply(u, alpha), q) for alpha in level)
-
-    values = ordered_map(w_of, run.states)
-    return [
-        WeightedRecord(t, w, w / (1.0 + t ** (m / 2.0)))
-        for t, w in zip(run.times, values)
-    ]
+    level = enumerate_level(run.config.u0.dim, m)
+    records = []
+    for t, u in zip(run.times, run.states):
+        w = math.fsum(lp_norm(weight_multiply(u, alpha), q) for alpha in level)
+        records.append(WeightedRecord(t, w, w / (1.0 + t ** (m / 2.0))))
+    return records
 
 
 def decay_bounded(records: list[DecayRecord], factor: float = 2.0) -> bool:

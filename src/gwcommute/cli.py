@@ -12,11 +12,11 @@ import argparse
 import os
 import sys
 from importlib import resources
+from itertools import product
 
 from . import __version__, catalog, config
 from .cgl import (
     CGLConfig,
-    DEFAULT_SMALLNESS,
     decay_bounded,
     decay_records,
     fit_loglog_slope,
@@ -35,6 +35,7 @@ from .estimates import (
     verify_theorem_1_2,
 )
 from .hermite import format_hermite, hermite_closed_form
+from .parallel import ordered_map
 from .reporting import (
     ESTIMATE_COLUMNS,
     IDENTITY_COLUMNS,
@@ -75,34 +76,37 @@ def _realize_all(sec, seed: int):
         ]
 
 
+def _fan_out(fn, cases) -> list:
+    """fn over independent cases, concatenated in case order (GW_THREADS workers)."""
+    return [report for reports in ordered_map(fn, cases) for report in reports]
+
+
 # Harness runners: (section, suite seed) -> (columns, rows, all passed).  The
-# suite and the single-harness subcommands both build their rows here.
+# suite and the single-harness subcommands both build their rows here; the
+# library functions run sequentially, and the identity and estimate runners
+# fan out over their independent cases.
 
 def run_identity(sec: config.IdentitySection, seed: int = 0):
-    reports = []
-    for name, phi in _realize_all(sec, seed):
-        for alpha in sec.alphas:
-            for omega in sec.omegas:
-                reports.extend(
-                    identity_reports(alpha, omega, phi, testfn=name,
-                                     tol=sec.tolerance)
-                )
-    return _report_table(IDENTITY_COLUMNS, reports)
+    def one_case(case):
+        (name, phi), alpha, omega = case
+        return identity_reports(alpha, omega, phi, testfn=name, tol=sec.tolerance)
+
+    cases = product(_realize_all(sec, seed), sec.alphas, sec.omegas)
+    return _report_table(IDENTITY_COLUMNS, _fan_out(one_case, cases))
 
 
 def run_estimate(sec: config.EstimateSection, seed: int = 0):
     triples = [ExponentTriple(p, q) for p, q in sec.pq_pairs]
     phis = _realize_all(sec, seed)
-    reports = []
-    for name, phi in phis:
-        for m in sec.m_values:
-            for triple in triples:
-                for omega in sec.omegas:
-                    reports.append(verify_theorem_1_2(m, triple, omega, phi,
-                                                      testfn=name))
-                    if sec.radial:
-                        reports.append(verify_radial_remark(m, triple, omega, phi,
-                                                            testfn=name))
+
+    def one_block(block):
+        (name, phi), m, triple, omega = block
+        reports = [verify_theorem_1_2(m, triple, omega, phi, testfn=name)]
+        if sec.radial:
+            reports.append(verify_radial_remark(m, triple, omega, phi, testfn=name))
+        return reports
+
+    reports = _fan_out(one_block, product(phis, sec.m_values, triples, sec.omegas))
     if sec.lipschitz:
         phi = phis[0][1]
         for label, eta, bound in catalog.lipschitz_entries(sec.dim, sec.points,
@@ -230,11 +234,16 @@ def _build_cgl_config(section: config.CGLSection) -> CGLConfig:
         u0=u0,
         dt=section.dt,
         horizon=section.horizon,
-        smallness=DEFAULT_SMALLNESS,
     )
 
 
-def _run_cgl(section: config.CGLSection, prefix: str, tag: str) -> int:
+def _write_all(artifacts: dict[str, str]) -> None:
+    for path, text in artifacts.items():
+        write_atomic(path, text)
+
+
+def _run_cgl(section: config.CGLSection, prefix: str, tag: str):
+    """({path: text} of the three artifacts under prefix, all passed)."""
     # the smallness of u0 and the snapshots in the slope-fit window depend on the data
     with config.as_config_error():
         cfg = _build_cgl_config(section)
@@ -251,11 +260,11 @@ def _run_cgl(section: config.CGLSection, prefix: str, tag: str) -> int:
         [format_value(rec.t), format_value(rec.w), format_value(rec.ratio)]
         for rec in weighted
     ]
-    write_atomic(f"{prefix}_decay.csv", render_csv(["t", "r", "record"], decay_rows, tag))
-    write_atomic(f"{prefix}_weighted.csv",
-                 render_csv(["t", "W", "ratio"], weighted_rows, tag))
-    write_atomic(f"{prefix}.plt",
-                 _gnuplot_script(os.path.basename(prefix), section.m, tag))
+    artifacts = {
+        f"{prefix}_decay.csv": render_csv(["t", "r", "record"], decay_rows, tag),
+        f"{prefix}_weighted.csv": render_csv(["t", "W", "ratio"], weighted_rows, tag),
+        f"{prefix}.plt": _gnuplot_script(os.path.basename(prefix), section.m, tag),
+    }
     ok = (
         decay_bounded(decay)
         and ratio_bounded(weighted)
@@ -263,7 +272,7 @@ def _run_cgl(section: config.CGLSection, prefix: str, tag: str) -> int:
     )
     print(f"cgl: slope={slope:.4f} (target <= {section.m / 2 + 0.1:.2f}), "
           f"boundary_max={run.boundary_max:.3e}, pass={str(ok).lower()}")
-    return _EXIT_PASS if ok else _EXIT_FAIL
+    return artifacts, ok
 
 
 def _gnuplot_script(prefix: str, m: int, tag: str) -> str:
@@ -299,7 +308,9 @@ def cmd_cgl(args) -> int:
         f"cgl {args.nu} {args.lam} {section.p_exponent} {section.eps} {section.sigma} "
         f"{section.horizon} {section.dt} {section.m} {args.q} {args.grid}"
     )
-    return _run_cgl(section, args.out, tag)
+    artifacts, ok = _run_cgl(section, args.out, tag)
+    _write_all(artifacts)
+    return _EXIT_PASS if ok else _EXIT_FAIL
 
 
 HARNESSES = {
@@ -321,17 +332,21 @@ def cmd_suite(args) -> int:
     if not cfg.harnesses:
         return _EXIT_PASS
     os.makedirs(args.out_dir, exist_ok=True)
-    ok = True
+    # written only once every harness has run: an input error in a later
+    # harness leaves no artifact of an earlier one
+    artifacts, ok = {}, True
     for name in cfg.harnesses:
         section = getattr(cfg, name.replace("-", "_"))
         if name == "cgl":
-            good = _run_cgl(section, f"{args.out_dir}/cgl", tag) == _EXIT_PASS
+            files, good = _run_cgl(section, f"{args.out_dir}/cgl", tag)
         else:
             runner, artifact = HARNESSES[name]
             columns, rows, good = runner(section, cfg.seed)
-            write_atomic(f"{args.out_dir}/{artifact}", render_csv(columns, rows, tag))
+            files = {f"{args.out_dir}/{artifact}": render_csv(columns, rows, tag)}
+        artifacts.update(files)
         print(f"suite harness {name}: {'pass' if good else 'FAIL'}")
         ok = ok and good
+    _write_all(artifacts)
     return _EXIT_PASS if ok else _EXIT_FAIL
 
 

@@ -30,7 +30,6 @@ from .multiindex import (
     factorial,
     unit,
 )
-from .parallel import ordered_map
 from .reporting import EstimateReport, format_value
 from .semigroup import (
     apply_fourier,
@@ -102,28 +101,24 @@ def commutator_direct(alpha: MultiIndex, omega, phi: GridFunction) -> GridFuncti
     return weight_multiply(flowed, alpha) - apply_fourier(weight_multiply(phi, alpha), omega)
 
 
-def _ordered_sum(parts: list[GridFunction]) -> GridFunction:
-    return reduce(lambda a, b: a + b, parts)
-
-
 def evaluate_R_theorem(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunction:
     """R_alpha(w) phi as one sum of spectra, one inverse transform.
 
     Each term is scale * (i xi)^delta exp(-w |xi|^2) applied to x^gamma phi.
     The terms sharing gamma add up to the multiplier P_gamma(xi) on
-    FFT(x^gamma phi); the group spectra are summed in expand_R_terms order,
-    then the heat multiplier and the inverse transform are applied once.
+    FFT(x^gamma phi); the group spectra are added into one running sum in
+    expand_R_terms order, then the heat multiplier and the inverse transform
+    are applied once.
     """
     w = complex(omega)
-    groups = [list(terms) for _, terms in groupby(expand_R_terms(alpha),
-                                                  key=lambda t: t.gamma)]
 
-    def group_spectrum(terms: list[CommutatorTerm]) -> np.ndarray:
+    def group_spectrum(gamma: MultiIndex, terms) -> np.ndarray:
         symbol = reduce(np.add, [t.scale(w) * derivative_multiplier(phi, t.delta)
                                  for t in terms])
-        return symbol * np.fft.fftn(weight_multiply(phi, terms[0].gamma).samples)
+        return symbol * np.fft.fftn(weight_multiply(phi, gamma).samples)
 
-    spectrum = reduce(np.add, ordered_map(group_spectrum, groups))
+    spectrum = reduce(np.add, (group_spectrum(gamma, terms) for gamma, terms
+                               in groupby(expand_R_terms(alpha), key=lambda t: t.gamma)))
     spectrum *= heat_multiplier(phi, w)
     return phi.with_samples(np.fft.ifftn(spectrum))
 
@@ -143,14 +138,10 @@ def convolution_pairs(alpha: MultiIndex) -> list[tuple[MultiIndex, MultiIndex, i
 def evaluate_R_convolution(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunction:
     """R_alpha(w) phi as sum of exact-kernel quadrature convolutions."""
     w = complex(omega)
-    pairs = convolution_pairs(alpha)
-
-    def one_pair(item) -> GridFunction:
-        beta, gamma, coeff = item
-        conv = convolve_weighted_kernel(beta, w, weight_multiply(phi, gamma))
-        return complex(coeff) * conv
-
-    return _ordered_sum(ordered_map(one_pair, pairs))
+    return reduce(lambda total, term: total + term, (
+        complex(coeff) * convolve_weighted_kernel(beta, w, weight_multiply(phi, gamma))
+        for beta, gamma, coeff in convolution_pairs(alpha)
+    ))
 
 
 def function_commutator(eta: GridFunction, omega, phi: GridFunction) -> GridFunction:

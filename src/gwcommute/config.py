@@ -24,6 +24,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .catalog import DEFAULT_CATALOG, GaussianComponent
+from .cgl import check_run, step_count
+from .estimates import ExponentTriple
 from .grid import check_exponent, check_grid
 from .multiindex import MultiIndex
 from .semigroup import check_omega, check_oracle_grid, check_theta
@@ -127,11 +129,13 @@ def _check_positive(name: str, values) -> None:
             raise ConfigError(f"{name} must be >= 1, got {m}")
 
 
-def _check_inputs(dim: int, omegas, testfns) -> None:
+def _check_inputs(sec) -> None:
     """The checks the identity and estimate sections share."""
-    _check_positive("dim", [dim])
-    _check_each(check_omega, omegas)
-    for name in testfns:
+    _check_positive("dim", [sec.dim])
+    with as_config_error():
+        check_grid(sec.dim, sec.points, sec.half_width)
+    _check_each(check_omega, sec.omegas)
+    for name in sec.testfns:
         if name not in DEFAULT_CATALOG:
             known = ", ".join(sorted(DEFAULT_CATALOG))
             raise ConfigError(f"unknown test function {name!r}; catalog has: {known}")
@@ -150,7 +154,7 @@ class IdentitySection:
     def __post_init__(self):
         _check_filled("identity", alphas=self.alphas, omegas=self.omegas,
                       testfns=self.testfns)
-        _check_inputs(self.dim, self.omegas, self.testfns)
+        _check_inputs(self)
         for alpha in self.alphas:
             if alpha.dim != self.dim:
                 raise ConfigError(f"alpha {alpha.to_str()} does not match dim {self.dim}")
@@ -174,11 +178,9 @@ class EstimateSection:
     lipschitz: bool = True
 
     def __post_init__(self):
-        from .estimates import ExponentTriple
-
         _check_filled("estimate", m_values=self.m_values, pq_pairs=self.pq_pairs,
                       omegas=self.omegas, testfns=self.testfns)
-        _check_inputs(self.dim, self.omegas, self.testfns)
+        _check_inputs(self)
         _check_positive("estimate m_values", self.m_values)
         for p, q in self.pq_pairs:
             with as_config_error():
@@ -213,6 +215,8 @@ class KernelNormsSection:
         _check_filled("kernel-norms", betas=self.betas, r_values=self.r_values,
                       thetas=self.thetas)
         _check_positive("kernel |beta|", [beta.order for beta in self.betas])
+        _check_each(lambda beta: check_grid(beta.dim, self.points, self.half_width),
+                    self.betas)
         _check_each(check_exponent, self.r_values)
         _check_each(check_theta, self.thetas)
 
@@ -232,10 +236,9 @@ class CGLSection:
     half_width: float
 
     def __post_init__(self):
-        from .cgl import check_run, step_count
-
         with as_config_error():
             check_run(self.nu, self.p_exponent, 1, self.dt, self.horizon)  # a 1-d run
+            check_grid(1, self.points, self.half_width)
             if not self.horizon >= 2.0:
                 raise ConfigError("cgl horizon must be >= 2 (probes anchor at t = 1)")
             step_count(self.horizon, self.dt)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .commutator import NORM_FLOOR, commutator_direct, function_commutator
 from .grid import GridFunction, check_exponent, lp_norm, weight_multiply_radial
 from .multiindex import MultiIndex, enumerate_level, level_count
-from .parallel import ordered_map
 from .reporting import EstimateReport, format_exponent, format_value
 from .semigroup import apply_fourier, check_omega, check_theta, weighted_kernel_grid
 
@@ -130,12 +129,8 @@ def verify_theorem_1_2(m: int, triple: ExponentTriple, omega,
     w = check_omega(omega)
     theta = math.atan2(w.imag, w.real)
     n = phi.dim
-    level = enumerate_level(n, m)
-    norms = ordered_map(
-        lambda alpha: lp_norm(commutator_direct(alpha, w, phi), triple.p),
-        level,
-    )
-    lhs = math.fsum(norms)
+    lhs = math.fsum(lp_norm(commutator_direct(alpha, w, phi), triple.p)
+                    for alpha in enumerate_level(n, m))
     constant = constant_A(n, m, triple.r, theta)
     rhs = weighted_rhs(m, triple, w, phi, constant)
     return EstimateReport(

@@ -6,7 +6,6 @@ construction; every operation allocates a fresh output.
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
 import struct
@@ -223,14 +222,3 @@ def load_gwgf(path) -> GridFunction:
     samples = (inter[0::2] + 1j * inter[1::2]).reshape((points,) * dim)
     return GridFunction(dim, points, half_width, samples)
 
-
-def export_csv_1d(phi: GridFunction, path) -> None:
-    """CSV export (x, re, im); 1-d grids only."""
-    if phi.dim != 1:
-        raise ValueError("CSV export supports n = 1 only")
-    xs = phi.axis()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "re", "im"])
-        for x, v in zip(xs, phi.samples):
-            writer.writerow([repr(float(x)), repr(float(v.real)), repr(float(v.imag))])

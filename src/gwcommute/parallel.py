@@ -1,7 +1,9 @@
 """Deterministic fan-out over independent work items.
 
-Results always come back in submission order, so parallel runs are
-byte-identical to sequential ones.  GW_THREADS caps the worker count.
+The identity and estimate harness runners in cli map over their cases
+here; the library functions they call run sequentially.  Results always
+come back in submission order, so parallel runs are byte-identical to
+sequential ones.  GW_THREADS caps the worker count.
 """
 from __future__ import annotations
 

@@ -7,6 +7,7 @@ import pytest
 from gwcommute.cgl import (
     BlowupError,
     CGLConfig,
+    DEFAULT_BOUNDARY_LIMIT,
     decay_bounded,
     decay_records,
     fit_loglog_slope,
@@ -214,7 +215,7 @@ def test_boundary_warning_on_tight_box():
     )
     with pytest.warns(RuntimeWarning, match="boundary mass"):
         run = simulate(cfg)
-    assert run.boundary_max > cfg.boundary_limit
+    assert run.boundary_max > DEFAULT_BOUNDARY_LIMIT
     assert len(run.states) == 7
 
 

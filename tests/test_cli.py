@@ -397,6 +397,23 @@ def test_suite_bad_section_fails_before_any_artifact(tmp_path, capsys, section, 
     assert not out_dir.exists()
 
 
+def test_suite_writes_no_artifact_when_a_later_harness_fails(tmp_path, capsys):
+    # the grid passes its own rule, but the test function does not fit the box,
+    # which shows only when the estimate harness realises it
+    sections = {"identity": VALID_SECTIONS["identity"],
+                "estimate": {**VALID_SECTIONS["estimate"], "grid": "64,1"}}
+    text = "[suite]\nharnesses = identity, estimate\n"
+    for name, keys in sections.items():
+        text += f"\n[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text(text)
+    out_dir = tmp_path / "out"
+    code = main(["suite", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == 2
+    assert "suite harness identity: pass" in capsys.readouterr().out
+    assert list(out_dir.glob("*.csv")) == []
+
+
 def test_suite_runs_and_reports(tmp_path, capsys):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(SMALL_SUITE)
@@ -412,9 +429,23 @@ def test_suite_runs_and_reports(tmp_path, capsys):
     check_csv(out_dir / "constants.csv", "n,m,r,theta,A,A_tilde")
 
 
+ESTIMATE_SECTION = """
+[estimate]
+dim = 1
+grid = 512,16
+m_values = 1, 2
+pq_pairs = 2:1, inf:2
+omegas = 1,0; 1,0.5
+testfns = gauss-wide, mixture
+"""
+
+
 def test_suite_determinism_across_thread_counts(tmp_path, monkeypatch):
+    # both fanned-out harnesses, with more cases than workers
     cfg = tmp_path / "small.cfg"
-    cfg.write_text(SMALL_SUITE)
+    cfg.write_text(SMALL_SUITE.replace("harnesses = identity, constants",
+                                       "harnesses = identity, estimate, constants")
+                   + ESTIMATE_SECTION)
     outputs = []
     for label, threads in (("a", "1"), ("b", "2"), ("c", None)):
         if threads is None:
@@ -425,7 +456,7 @@ def test_suite_determinism_across_thread_counts(tmp_path, monkeypatch):
         assert main(["suite", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
         outputs.append({
             name: (out_dir / name).read_bytes()
-            for name in ("identity.csv", "constants.csv")
+            for name in ("identity.csv", "estimate.csv", "constants.csv")
         })
     assert outputs[0] == outputs[1] == outputs[2]
 
@@ -436,6 +467,22 @@ def test_gw_threads_must_be_positive_integer(monkeypatch, capsys):
                  "--testfn", "gauss-wide"])
     assert code == 2
     assert "GW_THREADS" in capsys.readouterr().err
+
+
+def test_gw_threads_is_read_only_by_the_fanned_out_harnesses(tmp_path, monkeypatch):
+    monkeypatch.setenv("GW_THREADS", "zero")
+    code = main(["cgl", "--T", "2", "--grid", "512,32", "--out", str(tmp_path / "g")])
+    assert code == 0
+
+
+def test_compute_library_does_not_load_the_config_layer():
+    proc = run_fresh(
+        "import sys, gwcommute.commutator, gwcommute.estimates, gwcommute.cgl; "
+        "print(sorted(m for m in ('gwcommute.parallel', 'gwcommute.config', "
+        "'configparser') if m in sys.modules))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_main_lets_internal_errors_propagate(monkeypatch):
@@ -464,17 +511,21 @@ def declared_console_script(name):
     return scripts[name]
 
 
-def run_console_script(target, *args):
-    """Run ``target`` in a fresh interpreter the way a pip-generated wrapper
-    does, importing ``gwcommute`` from where these tests imported it."""
-    module, attr = target.split(":")
-    code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
+def run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter that imports ``gwcommute`` from
+    where these tests imported it."""
     package_root = str(Path(gwcommute.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, env=env)
+
+
+def run_console_script(target, *args):
+    """Run ``target`` the way a pip-generated wrapper does."""
+    module, attr = target.split(":")
+    return run_fresh(f"import sys; from {module} import {attr}; sys.exit({attr}())", *args)
 
 
 def test_console_script_entry_point():

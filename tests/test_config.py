@@ -314,6 +314,12 @@ def test_identity_rejects_non_finite_tolerance(value):
     ("cgl", {"sigma": 0.0}, "sigma must be positive"),
     ("constants", {"r_values": (0.5,)}, "exponent must lie in"),
     ("kernel_norms", {"r_values": (math.nan,)}, "exponent must lie in"),
+    ("identity", {"points": 12}, "power of two"),
+    ("estimate", {"half_width": 0.0}, "half-width must be finite and positive"),
+    ("kernel_norms", {"points": 12}, "power of two"),
+    ("kernel_norms", {"half_width": math.inf}, "half-width must be finite and positive"),
+    ("cgl", {"half_width": math.nan}, "half-width must be finite and positive"),
+    ("cgl", {"points": 4}, "power of two"),
 ])
 def test_sections_check_their_invariants(section, changes, match):
     # the same rules hold whether the suite config or a subcommand builds a section

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from gwcommute.grid import (
     GridFunction,
     boundary_mass_fraction,
-    export_csv_1d,
     from_callable,
     load_gwgf,
     lp_norm,
@@ -272,21 +271,6 @@ def test_gwgf_rejects_trailing_bytes(tmp_path):
     short.write_bytes(path.read_bytes()[:20])
     with pytest.raises(ValueError, match="truncated GWGF header"):
         load_gwgf(short)
-
-
-def test_export_csv_1d(tmp_path):
-    phi = make_1d(lambda x: x + 0j, points=8, half_width=2.0)
-    path = tmp_path / "field.csv"
-    export_csv_1d(phi, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,re,im"
-    assert len(lines) == 1 + 8
-    x, re, im = lines[1].split(",")
-    assert float(x) == -2.0 and float(re) == -2.0 and float(im) == 0.0
-    with pytest.raises(ValueError):
-        export_csv_1d(
-            from_callable(lambda x, y: x * 0, 2, 8, 2.0), tmp_path / "no.csv"
-        )
 
 
 @st.composite
