@@ -1,9 +1,11 @@
 """Deterministic fan-out over independent work items.
 
 The identity and estimate harness runners in cli map over their cases
-here; the library functions they call run sequentially.  Results always
-come back in submission order, so parallel runs are byte-identical to
-sequential ones.  GW_THREADS caps the worker count.
+here; the library functions they call run sequentially, and a runner
+with a single case (verify-identity, verify-estimate) runs it in the
+calling thread.  Results always come back in submission order, so
+parallel runs are byte-identical to sequential ones.  GW_THREADS caps
+the worker count.
 """
 from __future__ import annotations
 

@@ -105,9 +105,12 @@ def xi_squared(phi: GridFunction) -> np.ndarray:
     return _xi_squared(phi.dim, phi.points, phi.half_width)
 
 
-# One entry: an evaluator applies one omega many times in a row, and a
-# sweep cycles through its omegas, so a few more entries would still miss
-# once per case unless they held every omega, at N^n complex values each.
+# One entry: one identity or estimate case applies its omega several times
+# in a row, and a sweep cycles through its omegas, so a few more entries
+# would still miss once per case unless they held every omega, at N^n
+# complex values each.  Under the case-level pool in cli, workers hold
+# different omegas and evict each other's entry; that costs recomputed
+# exp(-w|xi|^2), never a wrong value.
 @lru_cache(maxsize=1)
 def _heat_multiplier(dim: int, points: int, half_width: float, w: complex) -> np.ndarray:
     """exp(-w |xi|^2), read-only because every caller shares it."""
