@@ -125,15 +125,6 @@ DEFAULT_CATALOG: dict[str, TestFunctionSpec] = {
     ]
 }
 
-FAMILY_BY_ID = {
-    "gauss-narrow": "gaussian",
-    "gauss-wide": "gaussian",
-    "gauss-shift": "shifted-gaussian",
-    "mixture": "shifted-gaussian",
-    "bandlimited": "bandlimited",
-}
-
-
 def get_entry(name: str) -> TestFunctionSpec:
     try:
         return DEFAULT_CATALOG[name]

@@ -152,53 +152,50 @@ def cmd_hermite(args) -> int:
     return _EXIT_PASS
 
 
+def _read(args, **given):
+    """The subcommand's section, read by config.read_section from its flags and given."""
+    flags = {key: getattr(args, key) for key in args.labels}
+    return config.read_section(args.section, {**flags, **given}, args.labels)
+
+
+def _single(sec, **flags) -> None:
+    """Each named section list holds the one value its flag takes."""
+    for key, flag in flags.items():
+        count = len(getattr(sec, key))
+        if count != 1:
+            raise config.ConfigError(f"{flag} takes one value, got {count}")
+
+
 def cmd_verify_identity(args) -> int:
-    alpha = config.parse_multiindex(args.alpha)
-    omega = config.parse_complex(args.omega)
-    points, half_width = config.parse_grid(args.grid)
-    sec = config.IdentitySection(
-        dim=alpha.dim, points=points, half_width=half_width, alphas=(alpha,),
-        omegas=(omega,), testfns=(args.testfn,),
-        tolerance=config.parse_finite(args.tolerance, "--tolerance"),
-    )
+    sec = _read(args)
+    _single(sec, alphas="--alpha", omegas="--omega", testfns="--testfn")
     columns, rows, ok = run_identity(sec)
     if args.with_shift:
-        phi = dict(_realize_all(sec, 0))[args.testfn]
+        (alpha,), (omega,), (name,) = sec.alphas, sec.omegas, sec.testfns
+        phi = dict(_realize_all(sec, 0))[name]
         shifts = [
-            lemma_B2_identity(alpha, j, omega, phi, testfn=args.testfn,
-                              tol=sec.tolerance)
+            lemma_B2_identity(alpha, j, omega, phi, testfn=name, tol=sec.tolerance)
             for j in range(1, alpha.dim + 1)
         ]
         rows += [r.row(columns) for r in shifts]
         ok = ok and all(r.passed for r in shifts)
-    tag = config_hash(f"verify-identity {args.alpha} {args.omega} "
-                      f"{args.testfn} {args.grid} {sec.tolerance}")
+    tag = config_hash(f"verify-identity {args.alphas} {args.omegas} "
+                      f"{args.testfns} {args.grid} {sec.tolerance}")
     return _finish(columns, rows, ok, tag, args.out)
 
 
 def cmd_verify_estimate(args) -> int:
-    dim, m = config.parse_int(args.dim, "--dim"), config.parse_int(args.m, "--m")
-    points, half_width = config.parse_grid(args.grid)
-    sec = config.EstimateSection(
-        dim=dim, points=points, half_width=half_width, m_values=(m,),
-        pq_pairs=((config.parse_exponent(args.p), config.parse_exponent(args.q)),),
-        omegas=(config.parse_complex(args.omega),), testfns=(args.testfn,),
-        radial=args.radial, lipschitz=False,
-    )
-    tag = config_hash(f"verify-estimate {dim} {m} {args.p} {args.q} "
-                      f"{args.omega} {args.testfn} {args.grid}")
+    sec = _read(args, pq_pairs=f"{args.p}:{args.q}")
+    _single(sec, m_values="--m", pq_pairs="--p/--q", omegas="--omega", testfns="--testfn")
+    tag = config_hash(f"verify-estimate {sec.dim} {sec.m_values[0]} {args.p} {args.q} "
+                      f"{args.omegas} {args.testfns} {args.grid}")
     return _finish(*run_estimate(sec), tag, args.out)
 
 
 def cmd_constants(args) -> int:
-    sec = config.ConstantsSection(
-        dim=config.parse_int(args.n, "--n"),
-        m_values=config.parse_list(args.m_list, lambda v: config.parse_int(v, "--m-list")),
-        r_values=config.parse_list(args.r_list, config.parse_exponent),
-        thetas=config.parse_thetas(args.theta_list),
-    )
+    sec = _read(args)
     columns, rows, _ = run_constants(sec)
-    tag = config_hash(f"constants {sec.dim} {args.m_list} {args.r_list} {args.theta_list}")
+    tag = config_hash(f"constants {sec.dim} {args.m_values} {args.r_values} {args.thetas}")
     if args.out:
         write_atomic(args.out, render_csv(columns, rows, tag))
     else:
@@ -210,16 +207,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_kernel_norms(args) -> int:
-    points, half_width = config.parse_grid(args.grid)
-    sec = config.KernelNormsSection(
-        points=points,
-        half_width=half_width,
-        betas=config.parse_list(args.beta_list, config.parse_multiindex),
-        r_values=config.parse_list(args.r_list, config.parse_exponent),
-        thetas=config.parse_thetas(args.theta_list),
-    )
-    tag = config_hash(f"kernel-norms {args.beta_list} {args.r_list} "
-                      f"{args.theta_list} {args.grid}")
+    sec = _read(args)
+    tag = config_hash(f"kernel-norms {args.betas} {args.r_values} {args.thetas} {args.grid}")
     return _finish(*run_kernel_norms(sec), tag, args.out)
 
 
@@ -290,23 +279,10 @@ def _gnuplot_script(prefix: str, m: int, tag: str) -> str:
 
 
 def cmd_cgl(args) -> int:
-    points, half_width = config.parse_grid(args.grid)
-    section = config.CGLSection(
-        nu=config.parse_complex(args.nu),
-        lam=config.parse_complex(args.lam),
-        p_exponent=config.parse_finite(args.p, "--p"),
-        eps=config.parse_finite(args.eps, "--eps"),
-        sigma=config.parse_finite(args.sigma, "--sigma"),
-        horizon=config.parse_finite(args.T, "--T"),
-        dt=config.parse_finite(args.dt, "--dt"),
-        m=config.parse_int(args.m, "--m"),
-        q=config.parse_exponent(args.q),
-        points=points,
-        half_width=half_width,
-    )
+    section = _read(args)
     tag = config_hash(
-        f"cgl {args.nu} {args.lam} {section.p_exponent} {section.eps} {section.sigma} "
-        f"{section.horizon} {section.dt} {section.m} {args.q} {args.grid}"
+        f"cgl {args.nu} {getattr(args, 'lambda')} {section.p_exponent} {section.eps} "
+        f"{section.sigma} {section.horizon} {section.dt} {section.m} {args.q} {args.grid}"
     )
     artifacts, ok = _run_cgl(section, args.out, tag)
     _write_all(artifacts)
@@ -329,14 +305,13 @@ def cmd_suite(args) -> int:
         text = resources.files("gwcommute").joinpath("data/default_suite.cfg").read_text()
     cfg = config.parse_suite_config(text)
     tag = config_hash(cfg.raw_text)
-    if not cfg.harnesses:
+    if not cfg.sections:
         return _EXIT_PASS
     os.makedirs(args.out_dir, exist_ok=True)
     # written only once every harness has run: an input error in a later
     # harness leaves no artifact of an earlier one
     artifacts, ok = {}, True
-    for name in cfg.harnesses:
-        section = getattr(cfg, name.replace("-", "_"))
+    for name, section in cfg.sections.items():
         if name == "cgl":
             files, good = _run_cgl(section, f"{args.out_dir}/cgl", tag)
         else:
@@ -348,6 +323,23 @@ def cmd_suite(args) -> int:
         ok = ok and good
     _write_all(artifacts)
     return _EXIT_PASS if ok else _EXIT_FAIL
+
+
+def _keyed(parser, section: str, func):
+    """add(flag, key, **kwargs): a flag of parser that sets a [section] key.
+
+    The flag's dest is the key and its default the one in config.DEFAULTS; a
+    bad value's error names the flag.
+    """
+    labels = {}
+    parser.set_defaults(func=func, section=section, labels=labels)
+
+    def add(flag: str, key: str, **kwargs) -> None:
+        labels[key] = flag
+        kwargs.setdefault("metavar", flag.lstrip("-").replace("-", "_").upper())
+        parser.add_argument(flag, dest=key, default=config.DEFAULTS[section][key], **kwargs)
+
+    return add
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,60 +358,55 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_id = sub.add_parser("verify-identity",
                           help="cross-check the three commutator evaluators")
-    p_id.add_argument("--alpha", required=True)
-    p_id.add_argument("--omega", required=True, metavar="RE,IM")
-    p_id.add_argument("--testfn", required=True)
-    p_id.add_argument("--grid", default="512,16", metavar="N,L")
-    p_id.add_argument("--tolerance", default=1e-6)
+    key = _keyed(p_id, "identity", cmd_verify_identity)
+    key("--alpha", "alphas", required=True)
+    key("--omega", "omegas", required=True, metavar="RE,IM")
+    key("--testfn", "testfns", required=True)
+    key("--grid", "grid", metavar="N,L")
+    key("--tolerance", "tolerance")
     p_id.add_argument("--with-shift", action="store_true",
                       help="also check the index-shift identity per axis")
     p_id.add_argument("--out", default=None)
-    p_id.set_defaults(func=cmd_verify_identity)
 
     p_est = sub.add_parser("verify-estimate",
                            help="check the weighted commutator estimate")
-    p_est.add_argument("--dim", default=1)
-    p_est.add_argument("--m", required=True)
+    key = _keyed(p_est, "estimate", cmd_verify_estimate)
+    key("--dim", "dim")
+    key("--m", "m_values", required=True)
     p_est.add_argument("--p", required=True)
     p_est.add_argument("--q", required=True)
-    p_est.add_argument("--omega", required=True, metavar="RE,IM")
-    p_est.add_argument("--testfn", required=True)
-    p_est.add_argument("--grid", default="512,16", metavar="N,L")
-    p_est.add_argument("--radial", action="store_true",
-                       help="also check the radial-weight variant")
+    key("--omega", "omegas", required=True, metavar="RE,IM")
+    key("--testfn", "testfns", required=True)
+    key("--grid", "grid", metavar="N,L")
+    key("--radial", "radial", action="store_const", const="true",
+        help="also check the radial-weight variant")
     p_est.add_argument("--out", default=None)
-    p_est.set_defaults(func=cmd_verify_estimate)
 
     p_con = sub.add_parser("constants", help="tabulate A and A~")
-    p_con.add_argument("--n", default=1)
-    p_con.add_argument("--m-list", default="1,2,3")
-    p_con.add_argument("--r-list", default="1,2,inf")
-    p_con.add_argument("--theta-list", default="0,0.3,0.6,0.9,1.2")
+    key = _keyed(p_con, "constants", cmd_constants)
+    key("--n", "dim")
+    key("--m-list", "m_values")
+    key("--r-list", "r_values")
+    key("--theta-list", "thetas")
     p_con.add_argument("--out", default=None)
-    p_con.set_defaults(func=cmd_constants)
 
     p_ker = sub.add_parser("kernel-norms",
                            help="weighted kernel norms against the moment bound")
-    p_ker.add_argument("--beta-list", default="1,2")
-    p_ker.add_argument("--r-list", default="1,2")
-    p_ker.add_argument("--theta-list", default="0,0.3,0.6,0.9,1.2")
-    p_ker.add_argument("--grid", default="512,16", metavar="N,L")
+    key = _keyed(p_ker, "kernel-norms", cmd_kernel_norms)
+    key("--beta-list", "betas")
+    key("--r-list", "r_values")
+    key("--theta-list", "thetas")
+    key("--grid", "grid", metavar="N,L")
     p_ker.add_argument("--out", default=None)
-    p_ker.set_defaults(func=cmd_kernel_norms)
 
     p_cgl = sub.add_parser("cgl", help="Ginzburg-Landau decay/growth experiment")
-    p_cgl.add_argument("--nu", default="1,0", metavar="RE,IM")
-    p_cgl.add_argument("--lambda", dest="lam", default="-1,0", metavar="RE,IM")
-    p_cgl.add_argument("--p", default=4.0)
-    p_cgl.add_argument("--eps", default=0.01)
-    p_cgl.add_argument("--sigma", default=1.0)
-    p_cgl.add_argument("--T", default=10.0)
-    p_cgl.add_argument("--dt", default=0.01)
-    p_cgl.add_argument("--m", default=1)
-    p_cgl.add_argument("--q", default="1")
-    p_cgl.add_argument("--grid", default="2048,64", metavar="N,L")
+    key = _keyed(p_cgl, "cgl", cmd_cgl)
+    key("--nu", "nu", metavar="RE,IM")
+    key("--lambda", "lambda", metavar="RE,IM")
+    for name in ("p", "eps", "sigma", "T", "dt", "m", "q"):
+        key(f"--{name}", name)
+    key("--grid", "grid", metavar="N,L")
     p_cgl.add_argument("--out", required=True, metavar="PREFIX")
-    p_cgl.set_defaults(func=cmd_cgl)
 
     p_suite = sub.add_parser("suite", help="run the harnesses from a config file")
     p_suite.add_argument("--config", default=None,

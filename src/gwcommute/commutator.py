@@ -66,10 +66,6 @@ class CommutatorTerm:
     def beta(self) -> MultiIndex:
         return self.delta + (2 * self.kappa)
 
-    @property
-    def omega_power(self) -> int:
-        return self.kappa.order
-
     def scale(self, omega: complex) -> complex:
         """coefficient * w^{|kappa|} * prod_j (-2w)^{delta_j}."""
         value = complex(self.coefficient) * omega**self.kappa.order

@@ -1,14 +1,22 @@
-"""Suite configuration: INI-style sections, strict validation.
+"""Harness inputs: one reader per section, strict validation.
 
-Value syntax inside a section:
+DEFAULTS lists every key of every section with its default.  The suite config
+and the CLI subcommands both build a section through read_section(name,
+given): the given strings (a config section, or a subcommand's flags under the
+same key names) are merged over the defaults, a key the table does not list is
+an input error, and the harness's reader parses the strings into its section.
+So a key left out of a config section takes the subcommand's default.
+
+Value syntax:
     complex numbers      RE,IM            (same as the CLI flags)
     lists of complexes   items joined by ";"
     multi-indices        dot-separated, e.g. "2.1"; lists joined by ","
     exponents            numbers or "inf"; pairs "p:q" joined by ","
+    booleans             true/false (also yes/no, on/off, 1/0)
 
 The parsers turn strings into values; the section types check, on
-construction, that the values make a valid harness input, whether the suite
-config or a CLI subcommand built them.  Both raise ConfigError (exit code 2).
+construction, that the values make a valid harness input.  Both raise
+ConfigError (exit code 2).
 
 Each rule the library shares is defined once, next to the object it checks
 (grid.check_grid, grid.check_exponent, semigroup.check_omega,
@@ -96,6 +104,13 @@ def parse_thetas(text: str) -> tuple[float, ...]:
     return parse_list(text, lambda v: parse_finite(v, "theta"))
 
 
+def parse_bool(text: str, name: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"bad {name} {text!r}; use true or false")
+
+
 def parse_grid(text: str) -> tuple[int, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -149,7 +164,7 @@ class IdentitySection:
     alphas: tuple[MultiIndex, ...]
     omegas: tuple[complex, ...]
     testfns: tuple[str, ...]
-    tolerance: float = 1e-6
+    tolerance: float
 
     def __post_init__(self):
         _check_filled("identity", alphas=self.alphas, omegas=self.omegas,
@@ -174,8 +189,8 @@ class EstimateSection:
     pq_pairs: tuple[tuple[float, float], ...]
     omegas: tuple[complex, ...]
     testfns: tuple[str, ...]
-    radial: bool = True
-    lipschitz: bool = True
+    radial: bool
+    lipschitz: bool
 
     def __post_init__(self):
         _check_filled("estimate", m_values=self.m_values, pq_pairs=self.pq_pairs,
@@ -248,23 +263,18 @@ class CGLSection:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    harnesses: tuple[str, ...]
+    sections: dict[str, object]  # harness name -> section, in run order
     seed: int
     raw_text: str = field(repr=False)
-    identity: IdentitySection | None = None
-    estimate: EstimateSection | None = None
-    constants: ConstantsSection | None = None
-    kernel_norms: KernelNormsSection | None = None
-    cgl: CGLSection | None = None
 
 
-def _grid(sec, default: str = "512,16") -> dict:
-    points, half_width = parse_grid(sec.get("grid", default))
+def _grid(text: str) -> dict:
+    points, half_width = parse_grid(text)
     return {"points": points, "half_width": half_width}
 
 
-def _ints(sec, key: str, default: str) -> tuple[int, ...]:
-    return parse_list(sec.get(key, default), lambda v: parse_int(v, f"[{sec.name}] {key}"))
+def _ints(text: str, name: str) -> tuple[int, ...]:
+    return parse_list(text, lambda v: parse_int(v, name))
 
 
 def _pq_pair(chunk: str) -> tuple[float, float]:
@@ -274,71 +284,112 @@ def _pq_pair(chunk: str) -> tuple[float, float]:
     return parse_exponent(parts[0]), parse_exponent(parts[1])
 
 
-def _identity(sec) -> IdentitySection:
+# Readers: (merged strings, key -> the name its errors carry) -> section.
+
+def _suite(v, name) -> tuple[tuple[str, ...], int]:
+    return parse_list(v["harnesses"], str), parse_int(v["seed"], name("seed"))
+
+
+def _identity(v, name) -> IdentitySection:
+    alphas = parse_list(v["alphas"], parse_multiindex)
     return IdentitySection(
-        dim=parse_int(sec.get("dim", "1"), f"[{sec.name}] dim"),
-        **_grid(sec),
-        alphas=parse_list(sec.get("alphas", ""), parse_multiindex),
-        omegas=parse_list(sec.get("omegas", ""), parse_complex, ";"),
-        testfns=parse_list(sec.get("testfns", ""), str),
-        tolerance=parse_finite(sec.get("tolerance", "1e-6"), "[identity] tolerance"),
+        dim=parse_int(v["dim"], name("dim")) if v["dim"] else next((a.dim for a in alphas), 1),
+        **_grid(v["grid"]),
+        alphas=alphas,
+        omegas=parse_list(v["omegas"], parse_complex, ";"),
+        testfns=parse_list(v["testfns"], str),
+        tolerance=parse_finite(v["tolerance"], name("tolerance")),
     )
 
 
-def _estimate(sec) -> EstimateSection:
-    with as_config_error():  # configparser's "Not a boolean"
-        radial = sec.getboolean("radial", True)
-        lipschitz = sec.getboolean("lipschitz", True)
+def _estimate(v, name) -> EstimateSection:
     return EstimateSection(
-        dim=parse_int(sec.get("dim", "1"), f"[{sec.name}] dim"),
-        **_grid(sec),
-        m_values=_ints(sec, "m_values", "1"),
-        pq_pairs=parse_list(sec.get("pq_pairs", ""), _pq_pair),
-        omegas=parse_list(sec.get("omegas", ""), parse_complex, ";"),
-        testfns=parse_list(sec.get("testfns", ""), str),
-        radial=radial,
-        lipschitz=lipschitz,
+        dim=parse_int(v["dim"], name("dim")),
+        **_grid(v["grid"]),
+        m_values=_ints(v["m_values"], name("m_values")),
+        pq_pairs=parse_list(v["pq_pairs"], _pq_pair),
+        omegas=parse_list(v["omegas"], parse_complex, ";"),
+        testfns=parse_list(v["testfns"], str),
+        radial=parse_bool(v["radial"], name("radial")),
+        lipschitz=parse_bool(v["lipschitz"], name("lipschitz")),
     )
 
 
-def _constants(sec) -> ConstantsSection:
+def _constants(v, name) -> ConstantsSection:
     return ConstantsSection(
-        dim=parse_int(sec.get("dim", "1"), f"[{sec.name}] dim"),
-        m_values=_ints(sec, "m_values", "1,2"),
-        r_values=parse_list(sec.get("r_values", "1,2,inf"), parse_exponent),
-        thetas=parse_thetas(sec.get("thetas", "0")),
+        dim=parse_int(v["dim"], name("dim")),
+        m_values=_ints(v["m_values"], name("m_values")),
+        r_values=parse_list(v["r_values"], parse_exponent),
+        thetas=parse_thetas(v["thetas"]),
     )
 
 
-def _kernel_norms(sec) -> KernelNormsSection:
+def _kernel_norms(v, name) -> KernelNormsSection:
     return KernelNormsSection(
-        **_grid(sec),
-        betas=parse_list(sec.get("betas", "1"), parse_multiindex),
-        r_values=parse_list(sec.get("r_values", "1"), parse_exponent),
-        thetas=parse_thetas(sec.get("thetas", "0")),
+        **_grid(v["grid"]),
+        betas=parse_list(v["betas"], parse_multiindex),
+        r_values=parse_list(v["r_values"], parse_exponent),
+        thetas=parse_thetas(v["thetas"]),
     )
 
 
-def _cgl(sec) -> CGLSection:
-    def finite(key: str, default: str) -> float:
-        return parse_finite(sec.get(key, default), f"[cgl] {key}")
+def _cgl(v, name) -> CGLSection:
+    def finite(key: str) -> float:
+        return parse_finite(v[key], name(key))
 
     return CGLSection(
-        nu=parse_complex(sec.get("nu", "1,0")),
-        lam=parse_complex(sec.get("lambda", "-1,0")),
-        p_exponent=finite("p", "4"),
-        eps=finite("eps", "0.01"),
-        sigma=finite("sigma", "1.0"),
-        horizon=finite("T", "10"),
-        dt=finite("dt", "0.01"),
-        m=parse_int(sec.get("m", "1"), "[cgl] m"),
-        q=parse_exponent(sec.get("q", "1")),
-        **_grid(sec, "2048,64"),
+        nu=parse_complex(v["nu"]),
+        lam=parse_complex(v["lambda"]),
+        p_exponent=finite("p"),
+        eps=finite("eps"),
+        sigma=finite("sigma"),
+        horizon=finite("T"),
+        dt=finite("dt"),
+        m=parse_int(v["m"], name("m")),
+        q=parse_exponent(v["q"]),
+        **_grid(v["grid"]),
     )
 
 
-_SECTIONS = {"identity": _identity, "estimate": _estimate, "constants": _constants,
-             "kernel-norms": _kernel_norms, "cgl": _cgl}
+_GRID = "512,16"
+_THETAS = "0,0.3,0.6,0.9,1.2"
+
+# Every key of every section, with its default; the CLI flags take theirs from
+# here too.  "" is no default: an empty list is rejected by its section, and an
+# empty [identity] dim is the dimension of the alphas.
+DEFAULTS = {
+    "suite": {"harnesses": "", "seed": "0"},
+    "identity": {"dim": "", "grid": _GRID, "alphas": "", "omegas": "", "testfns": "",
+                 "tolerance": "1e-6"},
+    "estimate": {"dim": "1", "grid": _GRID, "m_values": "1", "pq_pairs": "", "omegas": "",
+                 "testfns": "", "radial": "false", "lipschitz": "false"},
+    "constants": {"dim": "1", "m_values": "1,2,3", "r_values": "1,2,inf",
+                  "thetas": _THETAS},
+    "kernel-norms": {"grid": _GRID, "betas": "1,2", "r_values": "1,2", "thetas": _THETAS},
+    "cgl": {"nu": "1,0", "lambda": "-1,0", "p": "4", "eps": "0.01", "sigma": "1.0",
+            "T": "10", "dt": "0.01", "m": "1", "q": "1", "grid": "2048,64"},
+}
+
+_READERS = {"suite": _suite, "identity": _identity, "estimate": _estimate,
+            "constants": _constants, "kernel-norms": _kernel_norms, "cgl": _cgl}
+_HARNESSES = [name for name in DEFAULTS if name != "suite"]
+
+
+def read_section(name: str, given, labels: dict[str, str] | None = None):
+    """Section name from the given key strings merged over DEFAULTS[name].
+
+    Keys match case-insensitively, as configparser reads them.  A parse error
+    names the key by labels[key] (a subcommand's flag), else as "[name] key".
+    """
+    table = DEFAULTS[name]
+    known = {key.lower(): key for key in table}
+    values = dict(table)
+    for key, text in given.items():
+        if key.lower() not in known:
+            raise ConfigError(f"unknown key {key!r} in [{name}]; keys: {', '.join(table)}")
+        values[known[key.lower()]] = text
+    labels = labels or {}
+    return _READERS[name](values, lambda key: labels.get(key, f"[{name}] {key}"))
 
 
 def parse_suite_config(text: str) -> SuiteConfig:
@@ -349,14 +400,13 @@ def parse_suite_config(text: str) -> SuiteConfig:
         raise ConfigError(f"config parse error: {exc}")
     if not parser.has_section("suite"):
         raise ConfigError("missing [suite] section")
-    suite = parser["suite"]
-    harnesses = parse_list(suite.get("harnesses", ""), str)
-    for name in harnesses:
-        if name not in _SECTIONS:
-            raise ConfigError(f"unknown harness {name!r}; choose from {', '.join(_SECTIONS)}")
+    harnesses, seed = read_section("suite", parser["suite"])
+    for i, name in enumerate(harnesses):
+        if name not in _HARNESSES:
+            raise ConfigError(f"unknown harness {name!r}; choose from {', '.join(_HARNESSES)}")
+        if name in harnesses[:i]:
+            raise ConfigError(f"harness {name!r} listed twice")
         if not parser.has_section(name):
             raise ConfigError(f"harness {name!r} requested but section missing")
-    seed = parse_int(suite.get("seed", "0"), "suite.seed")
-    sections = {name.replace("-", "_"): build(parser[name])
-                for name, build in _SECTIONS.items() if name in harnesses}
-    return SuiteConfig(harnesses=harnesses, seed=seed, raw_text=text, **sections)
+    return SuiteConfig(sections={name: read_section(name, parser[name]) for name in harnesses},
+                       seed=seed, raw_text=text)

@@ -125,22 +125,6 @@ class HermitePoly:
         return complex(math.fsum(v.real for v in values),
                        math.fsum(v.imag for v in values))
 
-    def evaluate_grid(self, omega: complex, meshes: list[np.ndarray]) -> np.ndarray:
-        """Vectorized evaluation on a meshgrid stack (one array per axis)."""
-        if omega == 0:
-            raise ValueError("omega must be nonzero")
-        if len(meshes) != self.dim:
-            raise ValueError("mesh count != dim")
-        shape = np.broadcast_shapes(*[m.shape for m in meshes])
-        total = np.zeros(shape, dtype=np.complex128)
-        for beta, weight in self.sorted_terms():
-            mono = np.ones_like(total)
-            for mesh, b in zip(meshes, beta):
-                if b:
-                    mono = mono * mesh**b
-            total += complex(weight(omega)) * mono
-        return total
-
 
 def hermite_one(dim: int, flavor: str) -> HermitePoly:
     """The order-zero polynomial, identically 1."""

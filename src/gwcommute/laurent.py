@@ -66,10 +66,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by w^k."""
-        return LaurentPoly({e + k: c for e, c in self.terms.items()})
-
     def __call__(self, w: complex) -> complex:
         """Evaluate at a numeric parameter (w != 0 required if negative powers occur)."""
         if any(k < 0 for k in self.terms) and w == 0:

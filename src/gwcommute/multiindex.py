@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 class MultiIndex:
@@ -104,14 +104,6 @@ def zero(n: int) -> MultiIndex:
 def factorial(alpha: MultiIndex):
     """alpha! = prod_j alpha_j!, exact."""
     return reduce(lambda acc, a: acc * math.factorial(a), alpha, 1)
-
-
-def sub_checked(alpha: MultiIndex, beta: MultiIndex) -> Optional[MultiIndex]:
-    """alpha - beta when beta <= alpha componentwise, else None."""
-    alpha._check_dim(beta)
-    if not beta <= alpha:
-        return None
-    return MultiIndex(a - b for a, b in zip(alpha, beta))
 
 
 def level_count(n: int, m: int) -> int:

@@ -6,7 +6,6 @@ import pytest
 
 from gwcommute.catalog import (
     DEFAULT_CATALOG,
-    FAMILY_BY_ID,
     GaussianComponent,
     TestFunctionSpec,
     get_entry,
@@ -22,10 +21,6 @@ def test_every_entry_satisfies_boundary_invariant():
         for dim, points in ((1, 512), (2, 128)):
             phi = realize_checked(name, dim, points, 16.0)
             assert boundary_mass_fraction(phi) <= 1e-12, (name, dim)
-
-
-def test_family_labels_cover_catalog():
-    assert set(FAMILY_BY_ID) == set(DEFAULT_CATALOG)
 
 
 def test_gaussian_masses():

@@ -2,6 +2,7 @@
 import os
 import pkgutil
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -10,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import gwcommute
-from gwcommute import __version__
-from gwcommute.cli import main
+from gwcommute import __version__, config
+from gwcommute.cli import build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 FOOTER = re.compile(r"^# gw-commute [0-9.]+ [0-9a-f]{12}$")
 
 
@@ -251,6 +253,7 @@ def test_verify_identity_non_finite_tolerance_rejected(capsys, monkeypatch):
 @pytest.mark.parametrize("flags, message", [
     (["--m", "0"], "cgl m must be >= 1"),
     (["--m", "x"], "bad --m"),
+    (["--p", "x"], "bad --p 'x'"),
     (["--dt", "0.03"], "integer multiple of dt"),
     (["--p", "3"], "p > 1 + 2/n"),
     (["--dt", "2"], "two snapshots in the fit window"),
@@ -379,6 +382,10 @@ VALID_SECTIONS = {
     ("cgl", {"p": "2"}, "p > 1 + 2/n"),
     ("cgl", {"dt": "0.03", "T": "10"}, "integer multiple of dt"),
     ("cgl", {"m": "0"}, "cgl m must be >= 1"),
+    ("identity", {"tolerence": "1e-30"}, "unknown key 'tolerence' in [identity]"),
+    ("constants", {"m_values": "1,x"}, "bad [constants] m_values 'x'"),
+    ("cgl", {"p": "x"}, "bad [cgl] p 'x'"),
+    ("estimate", {"radial": "maybe"}, "bad [estimate] radial 'maybe'"),
 ])
 def test_suite_bad_section_fails_before_any_artifact(tmp_path, capsys, section, bad,
                                                       message):
@@ -459,6 +466,95 @@ def test_suite_determinism_across_thread_counts(tmp_path, monkeypatch):
             for name in ("identity.csv", "estimate.csv", "constants.csv")
         })
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# ------------------------------------------------- one reader per harness
+
+# harness -> (config keys, the subcommand's argv with the same values): the
+# keys are the required ones, plus [estimate] m_values for the required --m
+REQUIRED = {
+    "identity": ({"alphas": "2", "omegas": "1,0.5", "testfns": "mixture"},
+                 ["verify-identity", "--alpha", "2", "--omega", "1,0.5",
+                  "--testfn", "mixture"]),
+    "estimate": ({"m_values": "2", "pq_pairs": "2:1", "omegas": "1,0.5",
+                  "testfns": "gauss-wide"},
+                 ["verify-estimate", "--m", "2", "--p", "2", "--q", "1",
+                  "--omega", "1,0.5", "--testfn", "gauss-wide"]),
+    "constants": ({}, ["constants"]),
+    "kernel-norms": ({}, ["kernel-norms"]),
+    "cgl": ({}, ["cgl", "--out", "run"]),
+}
+
+
+class Built(Exception):
+    """Carries the section a subcommand built, before it runs."""
+
+
+@pytest.mark.parametrize("harness", list(REQUIRED))
+def test_subcommand_and_config_build_the_same_section(monkeypatch, harness):
+    keys, argv = REQUIRED[harness]
+    text = (f"[suite]\nharnesses = {harness}\n\n[{harness}]\n"
+            + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    from_config = config.parse_suite_config(text).sections[harness]
+    read = config.read_section
+
+    def stop(*args):
+        raise Built(read(*args))
+
+    monkeypatch.setattr(config, "read_section", stop)
+    with pytest.raises(Built) as built:
+        main(argv)
+    assert built.value.args[0] == from_config
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["verify-identity", "--alpha", "1,2", "--omega", "1,0", "--testfn", "gauss-wide"],
+     "--alpha"),
+    (["verify-identity", "--alpha", "1", "--omega", "1,0;1,1", "--testfn", "gauss-wide"],
+     "--omega"),
+    (["verify-identity", "--alpha", "1", "--omega", "1,0",
+      "--testfn", "gauss-wide,mixture"], "--testfn"),
+    (["verify-estimate", "--m", "1,2", "--p", "2", "--q", "1", "--omega", "1,0",
+      "--testfn", "gauss-wide"], "--m"),
+    (["verify-estimate", "--m", "1", "--p", "2:1,3", "--q", "1", "--omega", "1,0",
+      "--testfn", "gauss-wide"], "--p/--q"),
+])
+def test_single_valued_flags_take_one_value(capsys, flags, flag):
+    assert main(flags) == 2
+    assert f"{flag} takes one value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["constants", "--m-list", "1,x"], "bad --m-list 'x'"),
+    (["constants", "--n", "two"], "bad --n 'two'"),
+    (["verify-estimate", "--dim", "x", "--m", "1", "--p", "2", "--q", "1",
+      "--omega", "1,0", "--testfn", "gauss-wide"], "bad --dim 'x'"),
+])
+def test_bad_flag_value_names_the_flag(capsys, flags, message):
+    assert main(flags) == 2
+    assert message in capsys.readouterr().err
+
+
+def readme_commands():
+    """The gw-commute lines of README's sh blocks as argv lists: backslash
+    continuations joined, [...] optional groups dropped."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(re.sub(r"\[[^\]]*\]", "", line), comments=True)[1:]
+            for line in lines if line.startswith("gw-commute ")]
+
+
+def test_readme_examples_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "hermite", "verify-identity", "verify-estimate", "constants", "kernel-norms",
+        "cgl", "suite"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: gw-commute {shlex.join(argv)}")
 
 
 def test_gw_threads_must_be_positive_integer(monkeypatch, capsys):

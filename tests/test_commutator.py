@@ -75,7 +75,6 @@ def test_expand_degree_one():
     terms = expand_R_terms(MultiIndex([1]))
     assert [term_tuple(t) for t in terms] == [((0,), (0,), (1,), 1)]
     assert terms[0].beta == MultiIndex([1])
-    assert terms[0].omega_power == 0
 
 
 def test_expand_alpha_two():

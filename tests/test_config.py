@@ -1,7 +1,9 @@
 """Suite-config parsing: value syntax, validation, and the packaged default."""
 import dataclasses
 import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -100,41 +102,45 @@ def test_default_config_parses():
         resources.files("gwcommute").joinpath("data/default_suite.cfg").read_text()
     )
     cfg = parse_suite_config(text)
-    assert cfg.harnesses == ("identity", "estimate", "constants", "kernel-norms", "cgl")
+    assert tuple(cfg.sections) == ("identity", "estimate", "constants", "kernel-norms", "cgl")
     assert cfg.seed == 0
     assert cfg.raw_text == text
 
-    ident = cfg.identity
-    assert ident is not None
+    ident = cfg.sections["identity"]
     assert (ident.dim, ident.points, ident.half_width) == (1, 512, 16.0)
     assert ident.alphas == (MultiIndex((1,)), MultiIndex((2,)), MultiIndex((3,)))
     assert ident.omegas == (complex(1, 0), complex(1, 0.99))
     assert ident.testfns == ("gauss-wide", "mixture", "bandlimited")
     assert ident.tolerance == 1e-6
 
-    est = cfg.estimate
-    assert est is not None
+    est = cfg.sections["estimate"]
     assert est.m_values == (1, 2)
     assert est.pq_pairs == ((1.0, 1.0), (2.0, 1.0), (math.inf, 1.0),
                             (2.0, 2.0), (math.inf, math.inf))
     assert est.radial and est.lipschitz
 
-    consts = cfg.constants
-    assert consts is not None
+    consts = cfg.sections["constants"]
     assert consts.r_values == (1.0, 2.0, math.inf)
     assert consts.thetas == (0.0, 0.3, 0.6, 0.9, 1.2)
 
-    kn = cfg.kernel_norms
-    assert kn is not None
+    kn = cfg.sections["kernel-norms"]
     assert kn.betas == (MultiIndex((1,)), MultiIndex((2,)))
 
-    cgl = cfg.cgl
-    assert cgl is not None
+    cgl = cfg.sections["cgl"]
     assert cgl.nu == complex(1, 0)
     assert cgl.lam == complex(-1, 0)
     assert (cgl.p_exponent, cgl.eps, cgl.sigma) == (4.0, 0.01, 1.0)
     assert (cgl.horizon, cgl.dt, cgl.m, cgl.q) == (10.0, 0.01, 1, 1.0)
     assert (cgl.points, cgl.half_width) == (2048, 64.0)
+
+
+@pytest.mark.parametrize("path", [
+    "src/gwcommute/data/default_suite.cfg", "benchmarks/estimate_suite.cfg",
+])
+def test_shipped_configs_parse(path):
+    # every key in them is one the table lists
+    text = (Path(__file__).resolve().parents[1] / path).read_text()
+    assert parse_suite_config(text).sections
 
 
 # ----------------------------------------------------------------- validation
@@ -156,15 +162,13 @@ testfns = gauss-wide
 def test_minimal_identity_config():
     cfg = parse_suite_config(MINIMAL)
     assert cfg.seed == 7
-    assert cfg.harnesses == ("identity",)
-    assert cfg.estimate is None and cfg.cgl is None
-    assert cfg.identity.tolerance == 1e-6  # default
+    assert list(cfg.sections) == ["identity"]
+    assert cfg.sections["identity"].tolerance == 1e-6  # default
 
 
 def test_empty_harnesses_is_valid():
     cfg = parse_suite_config("[suite]\nharnesses =\n")
-    assert cfg.harnesses == ()
-    assert cfg.identity is None
+    assert cfg.sections == {}
 
 
 def test_missing_suite_section():
@@ -185,6 +189,32 @@ def test_harness_without_section():
 def test_bad_seed():
     with pytest.raises(ConfigError, match="seed"):
         parse_suite_config("[suite]\nharnesses =\nseed = pi\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (MINIMAL + "tolerence = 1e-30\n", "unknown key 'tolerence' in [identity]"),
+    (MINIMAL.replace("seed = 7", "sede = 5"), "unknown key 'sede' in [suite]"),
+], ids=["identity-tolerence", "suite-sede"])
+def test_unknown_key_is_rejected(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_suite_config(text)
+
+
+def test_keys_match_case_insensitively():
+    cfg = parse_suite_config("[suite]\nharnesses = cgl\n\n[cgl]\nt = 2\nGRID = 512,32\n")
+    assert (cfg.sections["cgl"].horizon, cfg.sections["cgl"].points) == (2.0, 512)
+
+
+def test_harness_listed_twice():
+    text = MINIMAL.replace("harnesses = identity", "harnesses = identity, identity")
+    with pytest.raises(ConfigError, match="listed twice"):
+        parse_suite_config(text)
+
+
+def test_identity_dim_defaults_to_the_alphas():
+    text = (MINIMAL.replace("dim = 1\n", "").replace("grid = 512,16", "grid = 64,16")
+            .replace("alphas = 1", "alphas = 1.1"))
+    assert parse_suite_config(text).sections["identity"].dim == 2
 
 
 def test_unknown_testfn_lists_catalog():
@@ -232,7 +262,7 @@ testfns = gauss-wide
 
 
 def test_estimate_section_parses():
-    est = parse_suite_config(ESTIMATE).estimate
+    est = parse_suite_config(ESTIMATE).sections["estimate"]
     assert est.pq_pairs == ((2.0, 1.0),)
     assert est.m_values == (1,)
 
@@ -324,7 +354,7 @@ def test_identity_rejects_non_finite_tolerance(value):
 def test_sections_check_their_invariants(section, changes, match):
     # the same rules hold whether the suite config or a subcommand builds a section
     text = resources.files("gwcommute").joinpath("data/default_suite.cfg").read_text()
-    valid = getattr(parse_suite_config(text), section)
+    valid = parse_suite_config(text).sections[section.replace("_", "-")]
     with pytest.raises(ConfigError, match=match):
         dataclasses.replace(valid, **changes)
 
@@ -341,7 +371,7 @@ def test_config_parse_error_wrapped():
 
 def default_section(name):
     text = resources.files("gwcommute").joinpath("data/default_suite.cfg").read_text()
-    return getattr(parse_suite_config(text), name)
+    return parse_suite_config(text).sections[name]
 
 
 @pytest.mark.parametrize("points, half_width", [

@@ -226,14 +226,3 @@ def test_format_hermite_deterministic():
 def test_evaluate_rejects_zero_omega():
     with pytest.raises(ValueError):
         hermite_closed_form(MultiIndex([1]), "h").evaluate(0.0, [1.0])
-
-
-def test_evaluate_grid_matches_pointwise():
-    poly = hermite_closed_form(MultiIndex([2, 1]), "h")
-    xs = np.linspace(-1, 1, 5)
-    mesh = np.meshgrid(xs, xs, indexing="ij")
-    grid_vals = poly.evaluate_grid(1 + 0.3j, list(mesh))
-    for i in (0, 3):
-        for j in (1, 4):
-            point = [xs[i], xs[j]]
-            assert grid_vals[i, j] == pytest.approx(poly.evaluate(1 + 0.3j, point))

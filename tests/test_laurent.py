@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -39,11 +38,6 @@ def test_format_examples():
     assert p.format() == "-2*w^-1+1*w^2"
 
 
-def test_shift():
-    p = LaurentPoly({0: 2, 1: 1})
-    assert p.shift(-2).terms == {-2: 2, -1: 1}
-
-
 def test_evaluation_examples():
     p = LaurentPoly({-2: 1, 0: -2})  # w^-2 - 2
     assert p(1.0) == -1.0
@@ -67,12 +61,6 @@ def test_ring_homomorphism(f, g, w):
 def test_scalar_multiply(f, c, w):
     assert (c * f)(w) == c * f(w)
     assert (f * c)(w) == f(w) * c
-
-
-@given(polys, st.integers(min_value=-4, max_value=4), points)
-def test_shift_is_monomial_multiply(f, k, w):
-    assert f.shift(k) == f * LaurentPoly.monomial(1, k)
-    assert f.shift(k)(w) == f(w) * Fraction(w) ** k
 
 
 @given(polys, polys)

@@ -12,7 +12,6 @@ from gwcommute.multiindex import (
     enumerate_up_to,
     factorial,
     level_count,
-    sub_checked,
     unit,
     zero,
 )
@@ -58,12 +57,6 @@ def test_arithmetic():
     assert 2 * a == MultiIndex([4, 2])
     with pytest.raises(ValueError):
         b - a  # (1,1) - (2,1) goes negative
-
-
-def test_sub_checked():
-    a = MultiIndex([2, 1])
-    assert sub_checked(a, MultiIndex([1, 1])) == MultiIndex([1, 0])
-    assert sub_checked(MultiIndex([1, 1]), a) is None
 
 
 def test_serialization_examples():
