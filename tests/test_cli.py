@@ -253,11 +253,11 @@ def test_verify_identity_non_finite_tolerance_rejected(capsys, monkeypatch):
 @pytest.mark.parametrize("flags, message", [
     (["--m", "0"], "cgl m must be >= 1"),
     (["--m", "x"], "bad --m"),
-    (["--p", "x"], "bad --p 'x'"),
     (["--dt", "0.03"], "integer multiple of dt"),
     (["--p", "3"], "p > 1 + 2/n"),
     (["--dt", "2"], "two snapshots in the fit window"),
     (["--eps", "0"], "two snapshots in the fit window"),
+    (["--p", "x"], "bad --p 'x'"),
 ])
 def test_cgl_input_errors_write_nothing(tmp_path, capsys, flags, message):
     code = main(["cgl", "--T", "2", "--grid", "512,32", *flags,
