@@ -16,6 +16,7 @@ from itertools import product
 
 from . import __version__, catalog, config
 from .cgl import (
+    BlowupError,
     CGLConfig,
     decay_bounded,
     decay_records,
@@ -236,7 +237,10 @@ def _run_cgl(section: config.CGLSection, prefix: str, tag: str):
     # the smallness of u0 and the snapshots in the slope-fit window depend on the data
     with config.as_config_error():
         cfg = _build_cgl_config(section)
-    run = simulate(cfg)
+    try:
+        run = simulate(cfg)
+    except BlowupError as exc:  # the data was not small enough for this lambda
+        raise config.ConfigError(str(exc)) from exc
     decay = decay_records(run)
     weighted = weighted_records(run, section.m, section.q)
     with config.as_config_error():

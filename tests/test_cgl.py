@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gwcommute import cgl
 from gwcommute.cgl import (
     BlowupError,
     CGLConfig,
@@ -16,12 +17,26 @@ from gwcommute.cgl import (
     weighted_records,
 )
 from gwcommute.grid import from_callable, lp_norm, rel_l2_error
-from gwcommute.semigroup import apply_fourier
+from gwcommute.semigroup import apply_fourier, xi_squared
 
 
 def step_duhamel(u, cfg, dt):
     """One exponential-midpoint step of size dt (second-order local accuracy)."""
     return simulate(dataclasses.replace(cfg, u0=u, dt=dt, horizon=dt)).states[-1]
+
+
+def step_physical(u, cfg, dt):
+    """The same exponential-midpoint step, computed from and back to physical
+    space with five transforms: an oracle independent of simulate's
+    spectral bookkeeping."""
+    xi_sq = xi_squared(u)
+    full = np.exp(-cfg.nu * dt * xi_sq)
+    half = np.exp(-cfg.nu * (dt / 2.0) * xi_sq)
+    spectrum = np.fft.fftn(u.samples)
+    linear = np.fft.ifftn(full * spectrum)
+    predictor = np.fft.ifftn(half * spectrum)
+    forcing = np.fft.fftn(cfg.nonlinearity(predictor))
+    return u.with_samples(linear + dt * np.fft.ifftn(half * forcing))
 
 
 def small_gaussian(eps=0.01, sigma=1.0, points=1024, half_width=32.0):
@@ -135,6 +150,52 @@ def test_blowup_guard_trips_on_strong_focusing():
     cfg = config(nu=1e-6, lam=1e9, dt=1.0, horizon=5.0)
     with pytest.raises(BlowupError):
         simulate(cfg)
+
+
+def test_blowup_guard_trips_on_nan(monkeypatch):
+    cfg = config()
+    monkeypatch.setattr(CGLConfig, "nonlinearity",
+                        lambda self, samples: np.full_like(samples, np.nan))
+    with pytest.raises(BlowupError):
+        simulate(cfg)
+
+
+def test_blowup_guard_runs_every_step():
+    # the only snapshot after t = 0 is at the horizon; the guard trips at
+    # the first step, long before it
+    cfg = config(lam=1e300, horizon=1.0, snapshot_every=1.0)
+    with pytest.raises(BlowupError, match=r"at t = 0\.01:"):
+        simulate(cfg)
+
+
+def test_simulate_matches_physical_space_steps():
+    cfg = config(nu=1.0 + 0.3j, lam=-1.0 + 0.5j, dt=0.05, horizon=3.0,
+                 snapshot_every=0.25, u0=wide_gaussian(64.0))
+    stride = round(cfg.snapshot_every / cfg.dt)
+    u, want = cfg.u0, [cfg.u0]
+    for k in range(1, round(cfg.horizon / cfg.dt) + 1):
+        u = step_physical(u, cfg, cfg.dt)
+        if k % stride == 0:
+            want.append(u)
+    run = simulate(cfg)
+    assert len(run.states) == len(want) == 13
+    for t, got, ref in zip(run.times, run.states, want):
+        assert rel_l2_error(got, ref) <= 1e-12, t
+
+
+def test_three_transforms_per_step(monkeypatch):
+    calls = []
+    for name in ("fftn", "ifftn"):
+        original = getattr(cgl.np.fft, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cgl.np.fft, name, counted)
+    simulate(config(dt=0.05, horizon=1.0))
+    assert len(calls) == 3 * 20 + 1
+    assert calls.count("fftn") == 20 + 1
 
 
 def test_defocusing_mass_is_monotone():

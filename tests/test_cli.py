@@ -258,6 +258,7 @@ def test_verify_identity_non_finite_tolerance_rejected(capsys, monkeypatch):
     (["--dt", "2"], "two snapshots in the fit window"),
     (["--eps", "0"], "two snapshots in the fit window"),
     (["--p", "x"], "bad --p 'x'"),
+    (["--lambda", "1e300,0"], "sup-norm guard tripped at t = 0.01:"),
 ])
 def test_cgl_input_errors_write_nothing(tmp_path, capsys, flags, message):
     code = main(["cgl", "--T", "2", "--grid", "512,32", *flags,
@@ -419,6 +420,25 @@ def test_suite_writes_no_artifact_when_a_later_harness_fails(tmp_path, capsys):
     assert code == 2
     assert "suite harness identity: pass" in capsys.readouterr().out
     assert list(out_dir.glob("*.csv")) == []
+
+
+def test_suite_cgl_blowup_writes_no_artifact(tmp_path, capsys):
+    # the blow-up shows only once the cgl harness steps, after identity ran
+    sections = {"identity": VALID_SECTIONS["identity"],
+                "cgl": {**VALID_SECTIONS["cgl"], "lambda": "1e300,0"}}
+    text = "[suite]\nharnesses = identity, cgl\n"
+    for name, keys in sections.items():
+        text += f"\n[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+    cfg = tmp_path / "blowup.cfg"
+    cfg.write_text(text)
+    out_dir = tmp_path / "out"
+    code = main(["suite", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "suite harness identity: pass" in captured.out
+    assert captured.err == ("error: sup-norm guard tripped at t = 0.01: |u| exceeded "
+                            "10 x its initial value (or is not finite)\n")
+    assert list(out_dir.iterdir()) == []
 
 
 def test_suite_runs_and_reports(tmp_path, capsys):

@@ -26,13 +26,13 @@ SUITE_ARTIFACTS = {
     "kernel_norms.csv":
         "8b2b84c16aaa9687432a196e93c1826517f3087b54f30cfc81ea639863668220",
     "cgl_decay.csv":
-        "3c23c2ae3bc8b02225ebe964b05e3cc35ad761c522c2fe7ec987c55772f8a8b1",
+        "ffa5dacb06970084ae4bfee78b8f147238cad57021568820d1b7cdfce26f182e",
     "cgl_weighted.csv":
-        "c12adf0faa09c8327fbf902155fdf49722d23f2e0bef0ca6f7b050ffb8c6bf20",
+        "b5d9f7a49238a75b91371253b81cce30f14f82ffb3dff905695a4e6c002f5bf5",
     "cgl.plt":
         "5b62630ebb0e843b7d1d319c7d0f60ffac836f0699dbebae607f1f385a887d9b",
 }
-SUITE_STDOUT = "d41f4ba4f760719a280ad8728ab27916d2ee3ed2609f3f8d48cf734babaec241"
+SUITE_STDOUT = "0dce95903ef2dae9b47ba52c374f94470489cafdc05ec696eee02761a4e22f6b"
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -93,9 +93,9 @@ SUBCOMMANDS = {
         ["cgl", "--T", "2", "--dt", "0.01", "--grid", "512,32", "--out", "run"],
         0, "b337dd2911c96fed85538db1e0f558594eecaf7a58b175c37140c5c7efae2574",
         {"run_decay.csv":
-         "2eadaeaeb328078a89314954175ef5cc2568355b18eabb641f6f09b8cc962537",
+         "0039648cac095a99f741ca044cbb91c4fbedbe4fd3dbff848ec70faba281a188",
          "run_weighted.csv":
-         "bd366cb859a91323b436cf5e249de54bd3089391ecb118714690ebe3685d90dc",
+         "53916b56dd8c699a509d49c38a93c9afb5f5374d29dffb09d13ad2c9c0dd998f",
          "run.plt":
          "3b1b353c9fb63f867d9d93158fde5c20ca18dab9586bbde388259c6985e11460"},
     ),
