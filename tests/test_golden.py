@@ -9,8 +9,21 @@ re-pin only for a deliberate behaviour change, and log it in CHANGES.md.
 Everything runs with the working directory set to a temp dir and relative
 output paths; ``cgl.plt`` names its CSVs by basename, so no byte depends on
 the output directory.
+
+A hash cannot tell a rounding-level change from a wrong one, so every
+artifact is also checked against a frozen copy under ``tests/data/``
+(``suite/`` for the default suite, one directory per subcommand name),
+written by the build the hashes were first pinned from.  Numeric cells may
+drift within REL_TOL relative (DISCREPANCY_TOL absolute for the
+``rel_l2_err`` column); every other byte must match.  A rounding-level
+change re-pins hashes and leaves the references alone, so the drift is
+bounded against one baseline, not per change.  Regenerate a reference
+only for a deliberate behaviour change (run the same argv in its
+directory), and log it in CHANGES.md.
 """
 import hashlib
+import math
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +48,14 @@ SUITE_ARTIFACTS = {
 SUITE_STDOUT = "0dce95903ef2dae9b47ba52c374f94470489cafdc05ec696eee02761a4e22f6b"
 
 EMPTY = hashlib.sha256(b"").hexdigest()
+
+REFERENCES = Path(__file__).parent / "data"
+# Aim 1 lets an evaluator move by 1e-12 relative.  A discrepancy column
+# holds a ratio near 1e-14 built from two evaluators, so it moves by about
+# twice their own change, absolutely; a relative bound means nothing there.
+REL_TOL = 1e-12
+DISCREPANCY_TOL = 2e-12
+DISCREPANCY_COLUMNS = {"rel_l2_err"}
 
 # name -> (argv, exit code, stdout sha256, {artifact: sha256})
 SUBCOMMANDS = {
@@ -126,3 +147,80 @@ def test_subcommand_output(name, tmp_path, monkeypatch, capsys):
     assert sha256(out.encode()) == stdout_sha
     got = {a: sha256((tmp_path / a).read_bytes()) for a in artifacts}
     assert got == artifacts
+
+
+def _number(cell: str):
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def reference_mismatches(fresh: str, reference: str) -> list[str]:
+    """Where fresh artifact text departs from its reference beyond the bounds.
+
+    The first line (a CSV header) and '#' lines (the footer) must match
+    exactly; so must every cell that is not a finite number.  Numeric cells
+    compare within REL_TOL relative, or DISCREPANCY_TOL absolute in a
+    DISCREPANCY_COLUMNS column.
+    """
+    got, want = fresh.splitlines(), reference.splitlines()
+    if len(got) != len(want):
+        return [f"{len(got)} lines, reference has {len(want)}"]
+    header = want[0].split(",")
+    bad = []
+    for lineno, (line, ref_line) in enumerate(zip(got, want), 1):
+        if lineno == 1 or ref_line.startswith("#"):
+            if line != ref_line:
+                bad.append(f"line {lineno}: {line!r} != {ref_line!r}")
+            continue
+        cells, ref_cells = line.split(","), ref_line.split(",")
+        if len(cells) != len(ref_cells):
+            bad.append(f"line {lineno}: {len(cells)} cells, reference has {len(ref_cells)}")
+            continue
+        for col, (cell, ref_cell) in enumerate(zip(cells, ref_cells)):
+            ref_value, value = _number(ref_cell), _number(cell)
+            if ref_value is None or value is None:
+                ok = cell == ref_cell
+            elif col < len(header) and header[col] in DISCREPANCY_COLUMNS:
+                ok = abs(value - ref_value) <= DISCREPANCY_TOL
+            else:
+                ok = abs(value - ref_value) <= REL_TOL * abs(ref_value)
+            if not ok:
+                bad.append(f"line {lineno} column {col + 1}: {cell!r} vs {ref_cell!r}")
+    return bad
+
+
+REFERENCE_CASES = [("suite", ["suite", "--out-dir", "."], 0, list(SUITE_ARTIFACTS))] + [
+    (name, argv, code, list(artifacts))
+    for name, (argv, code, _, artifacts) in SUBCOMMANDS.items() if artifacts
+]
+
+
+@pytest.mark.parametrize("name, argv, code, artifacts", REFERENCE_CASES,
+                         ids=[case[0] for case in REFERENCE_CASES])
+def test_artifacts_within_numeric_reference(name, argv, code, artifacts, tmp_path,
+                                            monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    capsys.readouterr()
+    for artifact in artifacts:
+        fresh = (tmp_path / artifact).read_text()
+        reference = (REFERENCES / name / artifact).read_text()
+        assert reference_mismatches(fresh, reference) == [], artifact
+
+
+def test_reference_comparison_bounds():
+    reference = "a,rel_l2_err,x\n1,1e-14,2.0\n# footer\n"
+    assert reference_mismatches(reference, reference) == []
+    assert reference_mismatches("a,rel_l2_err,x\n1,1.9e-12,2.000000000001\n# footer\n",
+                                reference) == []
+    for fresh in ("a,rel_l2_err,x\n1,3e-12,2.0\n# footer\n",
+                  "a,rel_l2_err,x\n1,1e-14,2.00000000001\n# footer\n",
+                  "a,rel_l2_err,x\n2,1e-14,2.0\n# footer\n",
+                  "a,rel_l2_err,x\n1,1e-14,2.0\n# footer 2\n",
+                  "a,rel_l2_err,y\n1,1e-14,2.0\n# footer\n",
+                  "a,rel_l2_err,x\n1,1e-14\n# footer\n",
+                  "a,rel_l2_err,x\n1,1e-14,2.0\n"):
+        assert reference_mismatches(fresh, reference), fresh
