@@ -10,12 +10,17 @@
                              inverse transform
     evaluate_R_convolution   the regrouped convolution form
                              sum_{b+g=a, b!=0} a!/(b! g!) (x^b G_w) * (x^g phi)
-                             by exact-kernel quadrature, no DFT
+                             by exact-kernel quadrature, no DFT; the sum is
+                             applied axis by axis with two accumulators
+                             (every b_j so far zero / some b_j nonzero),
+                             |alpha| + 2 Toeplitz passes or fewer in 2-d
+                             instead of two per (b, g) pair
 
 Agreement of all three on generic inputs is the point of this module.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
@@ -32,8 +37,10 @@ from .multiindex import (
 )
 from .reporting import EstimateReport, format_value
 from .semigroup import (
+    _toeplitz_pass,
     apply_fourier,
-    convolve_weighted_kernel,
+    check_omega,
+    check_oracle_grid,
     derivative_multiplier,
     heat_multiplier,
 )
@@ -132,12 +139,59 @@ def convolution_pairs(alpha: MultiIndex) -> list[tuple[MultiIndex, MultiIndex, i
 
 
 def evaluate_R_convolution(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunction:
-    """R_alpha(w) phi as sum of exact-kernel quadrature convolutions."""
-    w = complex(omega)
-    return reduce(lambda total, term: total + term, (
-        complex(coeff) * convolve_weighted_kernel(beta, w, weight_multiply(phi, gamma))
-        for beta, gamma, coeff in convolution_pairs(alpha)
-    ))
+    """R_alpha(w) phi as exact-kernel quadrature convolutions, axis by axis.
+
+    a!/(b!g!) = prod_j C(a_j, b_j), and x_k^{g_k} commutes with a Toeplitz
+    pass along axis j != k, so the pair sum factorises over the axes.  Two
+    accumulators run through the axes: Z, the part where every b_j so far
+    is 0 (it starts as phi), and S, the part where some b_j so far is
+    nonzero (it starts empty).  With a = a_j and T_b the axis-j pass of
+    t^b g_w(t), axis j maps them to
+
+        S' = T_0 (x_j^a S) + sum_{b=1..a} C(a, b) T_b (x_j^{a-b} (S + Z))
+        Z' = T_0 (x_j^a Z)        (not formed on the last axis)
+
+    and the result is h^n S.  The b = 0 term is never formed, so nothing
+    cancels.  That takes at most |alpha| + 2n - 2 passes, against n per
+    (b, g) pair: 6 for alpha = (2, 2) instead of 16, and |alpha| in 1-d.
+    """
+    w = check_omega(omega)
+    if alpha.order < 1:
+        raise ValueError("R_alpha requires |alpha| >= 1")
+    if alpha.dim != phi.dim:
+        raise ValueError(f"weight dim {alpha.dim} != grid dim {phi.dim}")
+    check_oracle_grid(phi.dim, phi.points)
+    zeros, some = phi.samples, None
+    for axis, a in enumerate(alpha):
+        total = None if some is None else _axis_pass(some, axis, 0, a, w, phi)
+        either = (zeros if some is None else some + zeros) if a else None
+        # Past this point S is read only through S + Z, and Z only for Z';
+        # dropping them keeps one field less alive during the passes below.
+        some = None
+        zeros = _axis_pass(zeros, axis, 0, a, w, phi) if axis < phi.dim - 1 else None
+        for b in range(1, a + 1):
+            total = _add_scaled(total, math.comb(a, b),
+                                _axis_pass(either, axis, b, a - b, w, phi))
+        some = total
+    return phi.with_samples(phi.cell_volume * some)
+
+
+def _add_scaled(total: np.ndarray | None, coeff: int, term: np.ndarray) -> np.ndarray:
+    """total + coeff * term, in the memory of the fresh term and of total."""
+    term *= coeff
+    if total is None:
+        return term
+    total += term
+    return total
+
+
+def _axis_pass(u: np.ndarray, axis: int, b: int, power: int, w: complex,
+               phi: GridFunction) -> np.ndarray:
+    """T_b (x_axis^power u): one Toeplitz pass of evaluate_R_convolution."""
+    if power:
+        x = phi.axis().reshape((-1,) + (1,) * (phi.dim - 1 - axis))
+        u = x**power * u
+    return _toeplitz_pass(u, axis, b, w, phi.spacing)
 
 
 def function_commutator(eta: GridFunction, omega, phi: GridFunction) -> GridFunction:

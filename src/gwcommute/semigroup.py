@@ -6,9 +6,12 @@ basis).  apply_direct is the quadrature oracle: the plain sum
     (e^{w*Laplacian} phi)(x) ~ h^n sum_y G_w(x - y) phi(y)
 
 with the kernel evaluated exactly, no periodic extension.  The kernel
-factorizes per axis, so the oracle is applied as one Toeplitz matrix per
-axis, gathered from its 2N-1 distinct entries; that reorders no terms
+factorizes per axis, so the oracle is a sequence of Toeplitz passes: one
+N x N matrix per axis, gathered from its 2N-1 distinct entries, built just
+before its pass and applied with one matmul.  That reorders no terms
 across axes and keeps the cost at O(n N^{n+1}) instead of O(N^{2n}).
+commutator.evaluate_R_convolution chains the same passes, |alpha| + 2 or
+fewer per call, to apply a whole sum of weighted kernels at once.
 """
 from __future__ import annotations
 
@@ -173,27 +176,42 @@ def check_oracle_grid(dim: int, points: int) -> None:
         )
 
 
+def _toeplitz_pass(u: np.ndarray, axis: int, b: int, omega: complex,
+                   spacing: float) -> np.ndarray:
+    """Apply along one axis of u the Toeplitz matrix of t^b g_w(t).
+
+    matrix[i, j] = (x_i - x_j)^b g_w(x_i - x_j) with g_w the axis factor of
+    G_w; the matrix is built here and dropped after the one product.
+    """
+    n = u.shape[axis]
+    # The 2N-1 lattice offsets (i - j) h; on a dyadic box they equal the
+    # differences x_i - x_j exactly.
+    offsets = spacing * np.arange(-(n - 1), n)
+    row = _axis_gaussian(omega, offsets)
+    if b:
+        row = row * offsets**b
+    # matrix[i, j] = row[n - 1 + i - j]: the Toeplitz matrix of the row.
+    matrix = np.ascontiguousarray(sliding_window_view(row[::-1], n)[::-1])
+    if axis == 0:
+        return (matrix @ u.reshape(n, -1)).reshape(u.shape)
+    if axis == u.ndim - 1:
+        return u @ matrix.T
+    return (matrix @ u.reshape(math.prod(u.shape[:axis]), n, -1)).reshape(u.shape)
+
+
 def convolve_weighted_kernel(beta: MultiIndex, omega, phi: GridFunction) -> GridFunction:
     """Quadrature convolution (x^beta G_w) * phi, kernel exact, no DFT.
 
     Computes h^n sum_y prod_j [(x_j - y_j)^{beta_j} g_w(x_j - y_j)] phi(y)
-    by applying the 1-d Toeplitz matrix of each axis factor in turn.
+    by one Toeplitz pass per axis.
     """
     w = check_omega(omega)
     if beta.dim != phi.dim:
         raise ValueError(f"weight dim {beta.dim} != grid dim {phi.dim}")
     check_oracle_grid(phi.dim, phi.points)
-    n = phi.points
-    # The 2N-1 lattice offsets (i - j) h; on a dyadic box they equal the
-    # differences x_i - x_j exactly.
-    offsets = phi.spacing * np.arange(-(n - 1), n)
-    base = _axis_gaussian(w, offsets)
     out = phi.samples
     for axis, b in enumerate(beta):
-        row = base * offsets**b if b else base
-        # matrix[i, j] = row[n - 1 + i - j]: the Toeplitz matrix of the row.
-        matrix = np.ascontiguousarray(sliding_window_view(row[::-1], n)[::-1])
-        out = np.moveaxis(np.tensordot(matrix, out, axes=([1], [axis])), 0, axis)
+        out = _toeplitz_pass(out, axis, b, w, phi.spacing)
     return phi.with_samples(phi.cell_volume * out)
 
 

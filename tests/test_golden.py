@@ -74,7 +74,7 @@ SUBCOMMANDS = {
          "--out", "identity2d.csv"],
         0, EMPTY,
         {"identity2d.csv":
-         "5b933c1d07ae4648a60e169f48b4982be9a9e06ccc24de8587b5c33137c475fa"},
+         "fe827b6bb4370e7a6f0c952dd4123757631ced9ee72469147684e040517f55f4"},
     ),
     "verify-identity-fail": (
         ["verify-identity", "--alpha", "3", "--omega", "1,0.9",

@@ -275,7 +275,7 @@ def test_toeplitz_restructuring_matches_naive_loop():
             assert rel_l2_error(fast, slow) <= 1e-14
 
 
-@pytest.mark.parametrize("dim, points", [(1, 512), (2, 64)])
+@pytest.mark.parametrize("dim, points", [(1, 512), (2, 64), (3, 16)])
 def test_toeplitz_from_offsets_is_bit_identical_on_dyadic_grids(dim, points):
     phi = random_grid(dim, points, 16.0)
     betas = [b for b in enumerate_up_to(dim, 3) if dim == 1 or b.order in (0, 3)]
