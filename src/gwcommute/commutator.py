@@ -149,11 +149,13 @@ def evaluate_R_convolution(alpha: MultiIndex, omega, phi: GridFunction) -> GridF
     t^b g_w(t), axis j maps them to
 
         S' = T_0 (x_j^a S) + sum_{b=1..a} C(a, b) T_b (x_j^{a-b} (S + Z))
-        Z' = T_0 (x_j^a Z)        (not formed on the last axis)
+        Z' = T_0 (x_j^a Z)
 
-    and the result is h^n S.  The b = 0 term is never formed, so nothing
-    cancels.  That takes at most |alpha| + 2n - 2 passes, against n per
-    (b, g) pair: 6 for alpha = (2, 2) instead of 16, and |alpha| in 1-d.
+    and the result is h^n S.  Z' is formed only while a later axis has
+    a_k > 0, the only place it is read.  The b = 0 term is never formed, so
+    nothing cancels.  That takes at most |alpha| + 2n - 2 passes, against
+    n per (b, g) pair: 6 for alpha = (2, 2) instead of 16, and |alpha| in
+    1-d.
     """
     w = check_omega(omega)
     if alpha.order < 1:
@@ -168,7 +170,7 @@ def evaluate_R_convolution(alpha: MultiIndex, omega, phi: GridFunction) -> GridF
         # Past this point S is read only through S + Z, and Z only for Z';
         # dropping them keeps one field less alive during the passes below.
         some = None
-        zeros = _axis_pass(zeros, axis, 0, a, w, phi) if axis < phi.dim - 1 else None
+        zeros = _axis_pass(zeros, axis, 0, a, w, phi) if any(alpha[axis + 1:]) else None
         for b in range(1, a + 1):
             total = _add_scaled(total, math.comb(a, b),
                                 _axis_pass(either, axis, b, a - b, w, phi))

@@ -10,8 +10,8 @@ factorizes per axis, so the oracle is a sequence of Toeplitz passes: one
 N x N matrix per axis, gathered from its 2N-1 distinct entries, built just
 before its pass and applied with one matmul.  That reorders no terms
 across axes and keeps the cost at O(n N^{n+1}) instead of O(N^{2n}).
-commutator.evaluate_R_convolution chains the same passes, |alpha| + 2 or
-fewer per call, to apply a whole sum of weighted kernels at once.
+commutator.evaluate_R_convolution chains the same passes to apply a
+whole sum of weighted kernels at once: |alpha| + 2 passes or fewer in 2-d.
 """
 from __future__ import annotations
 

@@ -258,7 +258,7 @@ def test_convolution_matches_pair_sum(dim):
 
 
 @pytest.mark.parametrize("alpha, passes, pair_passes", [
-    ((2, 2), 6, 16), ((4, 0), 6, 8), ((0, 4), 5, 8), ((4,), 4, 4),
+    ((2, 2), 6, 16), ((4, 0), 5, 8), ((0, 4), 5, 8), ((4,), 4, 4), ((1, 0, 1), 6, 9),
 ])
 def test_convolution_toeplitz_pass_count(alpha, passes, pair_passes, monkeypatch):
     calls = []
