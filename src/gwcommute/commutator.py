@@ -168,7 +168,8 @@ def evaluate_R_convolution(alpha: MultiIndex, omega, phi: GridFunction) -> GridF
         total = None if some is None else _axis_pass(some, axis, 0, a, w, phi)
         either = (zeros if some is None else some + zeros) if a else None
         # Past this point S is read only through S + Z, and Z only for Z';
-        # dropping them keeps one field less alive during the passes below.
+        # dropping them before the passes below keeps fewer fields alive at
+        # once (test_convolution_peak_memory_within_pair_sum pins the peak).
         some = None
         zeros = _axis_pass(zeros, axis, 0, a, w, phi) if any(alpha[axis + 1:]) else None
         for b in range(1, a + 1):
