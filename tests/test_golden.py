@@ -8,7 +8,7 @@ re-pin only for a deliberate behaviour change, and log it in CHANGES.md.
 
 Everything runs with the working directory set to a temp dir and relative
 output paths; ``cgl.plt`` names its CSVs by basename, so no byte depends on
-the output directory.
+the output directory.  The config files in CONFIGS are written there first.
 
 A hash cannot tell a rounding-level change from a wrong one, so every
 artifact is also checked against a frozen copy under ``tests/data/``
@@ -56,6 +56,28 @@ REFERENCES = Path(__file__).parent / "data"
 REL_TOL = 1e-12
 DISCREPANCY_TOL = 2e-12
 DISCREPANCY_COLUMNS = {"rel_l2_err"}
+
+# file name -> text, written to the working directory before each argv runs.
+# The default suite is 1-d, where every level |alpha| = m holds one alpha;
+# this 2-d estimate section sums several commutator fields per level:
+# 2 testfns x 2 m x 2 (p, q) x 2 omega, theorem and radial rows, plus
+# 4 Lipschitz multipliers x 2 omega, 40 data rows in all.
+CONFIGS = {
+    "estimate2d.cfg": """\
+[suite]
+harnesses = estimate
+
+[estimate]
+dim = 2
+grid = 64,16
+m_values = 1, 2
+pq_pairs = 2:1, inf:inf
+omegas = 1,0; 1,0.5
+testfns = gauss-wide, bandlimited
+radial = true
+lipschitz = true
+""",
+}
 
 # name -> (argv, exit code, stdout sha256, {artifact: sha256})
 SUBCOMMANDS = {
@@ -120,11 +142,24 @@ SUBCOMMANDS = {
          "run.plt":
          "3b1b353c9fb63f867d9d93158fde5c20ca18dab9586bbde388259c6985e11460"},
     ),
+    "suite-estimate-2d": (
+        ["suite", "--config", "estimate2d.cfg", "--out-dir", "."],
+        0, "46a23bd84f31ec9117d2148d326770f0ef945f855ee55403c1d1f781c67a38a8",
+        {"estimate.csv":
+         "b96f4c94d393e3eba4bdeaf0a089d86778dd5d0a9748043630d26571693c8e1d"},
+    ),
 }
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def enter(tmp_path, monkeypatch) -> None:
+    """Work in tmp_path, with the CONFIGS files written there."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in CONFIGS.items():
+        (tmp_path / name).write_text(text)
 
 
 def test_default_suite_artifacts(tmp_path, monkeypatch, capsys):
@@ -141,7 +176,7 @@ def test_default_suite_artifacts(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("name", list(SUBCOMMANDS))
 def test_subcommand_output(name, tmp_path, monkeypatch, capsys):
     argv, code, stdout_sha, artifacts = SUBCOMMANDS[name]
-    monkeypatch.chdir(tmp_path)
+    enter(tmp_path, monkeypatch)
     assert main(argv) == code
     out = capsys.readouterr().out
     assert sha256(out.encode()) == stdout_sha
@@ -202,7 +237,7 @@ REFERENCE_CASES = [("suite", ["suite", "--out-dir", "."], 0, list(SUITE_ARTIFACT
                          ids=[case[0] for case in REFERENCE_CASES])
 def test_artifacts_within_numeric_reference(name, argv, code, artifacts, tmp_path,
                                             monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
+    enter(tmp_path, monkeypatch)
     assert main(argv) == code
     capsys.readouterr()
     for artifact in artifacts:
