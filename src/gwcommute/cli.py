@@ -100,14 +100,18 @@ def run_estimate(sec: config.EstimateSection, seed: int = 0):
     triples = [ExponentTriple(p, q) for p, q in sec.pq_pairs]
     phis = _realize_all(sec, seed)
 
-    def one_block(block):
-        (name, phi), m, triple, omega = block
-        reports = [verify_theorem_1_2(m, triple, omega, phi, testfn=name)]
-        if sec.radial:
-            reports.append(verify_radial_remark(m, triple, omega, phi, testfn=name))
-        return reports
+    verifiers = [verify_theorem_1_2] + ([verify_radial_remark] if sec.radial else [])
 
-    reports = _fan_out(one_block, product(phis, sec.m_values, triples, sec.omegas))
+    def one_case(case):
+        # each verifier builds its fields once per omega and reports every
+        # triple; rows go out per triple, then per omega, then per verifier
+        (name, phi), m = case
+        by_omega = [[verify(m, triples, omega, phi, testfn=name) for verify in verifiers]
+                    for omega in sec.omegas]
+        return [reports[k] for k in range(len(triples))
+                for per_verifier in by_omega for reports in per_verifier]
+
+    reports = _fan_out(one_case, product(phis, sec.m_values))
     if sec.lipschitz:
         phi = phis[0][1]
         for label, eta, bound in catalog.lipschitz_entries(sec.dim, sec.points,

@@ -15,13 +15,19 @@ with the fully explicit
 
 and its radial variant A~ (same without the multiplicity factor), which
 bounds the |x|^m commutator the same way.
+
+The commutator fields do not depend on (p, q).  verify_theorem_1_2 and
+verify_radial_remark therefore take a sequence of ExponentTriples: each
+call builds its fields once per (phi, m, omega) and returns one report per
+triple, in order, each taking its p-norms from those same fields.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .commutator import NORM_FLOOR, commutator_direct, function_commutator
+from .commutator import commutator_direct, function_commutator
 from .grid import GridFunction, check_exponent, lp_norm, weight_multiply_radial
 from .multiindex import MultiIndex, enumerate_level, level_count
 from .reporting import EstimateReport, format_exponent, format_value
@@ -123,23 +129,36 @@ def weighted_rhs(m: int, triple: ExponentTriple, omega: complex,
     return constant * scale * (math.sqrt(mod) * lower + mod ** (m / 2.0) * plain)
 
 
-def verify_theorem_1_2(m: int, triple: ExponentTriple, omega,
-                       phi: GridFunction, testfn: str = "") -> EstimateReport:
-    """Sum of monomial-weight commutator p-norms against the A-bound."""
-    w = check_omega(omega)
+def _level_reports(check: str, constant_of: Callable[..., float], m: int,
+                   triples: Sequence[ExponentTriple], w: complex, phi: GridFunction,
+                   fields: Sequence[GridFunction], testfn: str) -> list[EstimateReport]:
+    """One report per triple: lhs is the fsum of the fields' p-norms."""
     theta = math.atan2(w.imag, w.real)
     n = phi.dim
-    lhs = math.fsum(lp_norm(commutator_direct(alpha, w, phi), triple.p)
-                    for alpha in enumerate_level(n, m))
-    constant = constant_A(n, m, triple.r, theta)
-    rhs = weighted_rhs(m, triple, w, phi, constant)
-    return EstimateReport(
-        check="weighted-estimate",
-        lhs=lhs,
-        rhs=rhs,
-        constant=constant,
-        params=_estimate_params(n, m, triple, w, theta, testfn),
-    )
+    reports = []
+    for triple in triples:
+        constant = constant_of(n, m, triple.r, theta)
+        reports.append(EstimateReport(
+            check=check,
+            lhs=math.fsum(lp_norm(field, triple.p) for field in fields),
+            rhs=weighted_rhs(m, triple, w, phi, constant),
+            constant=constant,
+            params=_estimate_params(n, m, triple, w, theta, testfn),
+        ))
+    return reports
+
+
+def verify_theorem_1_2(m: int, triples: Sequence[ExponentTriple], omega,
+                       phi: GridFunction, testfn: str = "") -> list[EstimateReport]:
+    """Sum of monomial-weight commutator p-norms against the A-bound.
+
+    One commutator field per |alpha| = m, built once and normed for every
+    triple; one report per triple, in order.
+    """
+    w = check_omega(omega)
+    fields = [commutator_direct(alpha, w, phi) for alpha in enumerate_level(phi.dim, m)]
+    return _level_reports("weighted-estimate", constant_A, m, triples, w, phi, fields,
+                          testfn)
 
 
 def radial_commutator(m: int, omega, phi: GridFunction) -> GridFunction:
@@ -150,22 +169,17 @@ def radial_commutator(m: int, omega, phi: GridFunction) -> GridFunction:
     )
 
 
-def verify_radial_remark(m: int, triple: ExponentTriple, omega,
-                         phi: GridFunction, testfn: str = "") -> EstimateReport:
-    """Radial-weight commutator against the multiplicity-free A~-bound."""
+def verify_radial_remark(m: int, triples: Sequence[ExponentTriple], omega,
+                         phi: GridFunction, testfn: str = "") -> list[EstimateReport]:
+    """Radial-weight commutator against the multiplicity-free A~-bound.
+
+    One radial commutator field, built once and normed for every triple;
+    one report per triple, in order.
+    """
     w = check_omega(omega)
-    theta = math.atan2(w.imag, w.real)
-    n = phi.dim
-    lhs = lp_norm(radial_commutator(m, w, phi), triple.p)
-    constant = constant_A_tilde(n, m, triple.r, theta)
-    rhs = weighted_rhs(m, triple, w, phi, constant)
-    return EstimateReport(
-        check="radial-remark",
-        lhs=lhs,
-        rhs=rhs,
-        constant=constant,
-        params=_estimate_params(n, m, triple, w, theta, testfn),
-    )
+    fields = [radial_commutator(m, w, phi)]
+    return _level_reports("radial-remark", constant_A_tilde, m, triples, w, phi, fields,
+                          testfn)
 
 
 def verify_lipschitz_commutator(eta: GridFunction, grad_bound: float,
@@ -225,17 +239,3 @@ def kernel_moment_bound_report(beta: MultiIndex, theta: float, r: float,
     return EstimateReport(check="kernel-moment-bound", lhs=lhs, rhs=rhs,
                           constant=rhs, params=params)
 
-
-def holder_interpolation_gap(phi: GridFunction, m: int, q: float, k: int) -> tuple[float, float]:
-    """(lhs, rhs) of |||x|^k phi||_q <= |||x|^{m-1}phi||_q^{k/(m-1)} ||phi||_q^{1-k/(m-1)}.
-
-    Valid for 0 <= k <= m-1, m >= 2.
-    """
-    if m < 2 or not 0 <= k <= m - 1:
-        raise ValueError("need m >= 2 and 0 <= k <= m-1")
-    lhs = lp_norm(weight_multiply_radial(phi, k), q)
-    top = lp_norm(weight_multiply_radial(phi, m - 1), q)
-    plain = lp_norm(phi, q)
-    frac = k / (m - 1)
-    rhs = max(top, NORM_FLOOR) ** frac * max(plain, NORM_FLOOR) ** (1.0 - frac)
-    return lhs, rhs

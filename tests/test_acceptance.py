@@ -165,16 +165,16 @@ def test_05_weighted_estimate_sweep():
             for p, q in PQ_PAIRS:
                 triple = ExponentTriple(p, q)
                 for omega in ESTIMATE_OMEGAS:
-                    reports.append(verify_theorem_1_2(m, triple, omega, phi,
-                                                      testfn=name))
+                    reports.append(verify_theorem_1_2(m, [triple], omega, phi,
+                                                      testfn=name)[0])
     rng = np.random.default_rng(20260814)
     combos = [(m, pq, omega) for m in M_VALUES for pq in PQ_PAIRS
               for omega in ESTIMATE_OMEGAS]
     for i in range(100):
         phi = _random_mixture(rng, i).realize(1, 512, 16.0)
         m, (p, q), omega = combos[i % len(combos)]
-        reports.append(verify_theorem_1_2(m, ExponentTriple(p, q), omega, phi,
-                                          testfn=f"mix-{i}"))
+        reports.append(verify_theorem_1_2(m, [ExponentTriple(p, q)], omega, phi,
+                                          testfn=f"mix-{i}")[0])
     chain = [
         kernel_moment_bound_report(MultiIndex((b,)), theta, r, 2048, 16.0)
         for b in range(1, 5)

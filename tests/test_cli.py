@@ -468,7 +468,8 @@ testfns = gauss-wide, mixture
 
 
 def test_suite_determinism_across_thread_counts(tmp_path, monkeypatch):
-    # both fanned-out harnesses, with more cases than workers
+    # both fanned-out harnesses, with more cases than workers: the estimate
+    # section gives 4 (testfn, m) cases
     cfg = tmp_path / "small.cfg"
     cfg.write_text(SMALL_SUITE.replace("harnesses = identity, constants",
                                        "harnesses = identity, estimate, constants")
@@ -486,6 +487,41 @@ def test_suite_determinism_across_thread_counts(tmp_path, monkeypatch):
             for name in ("identity.csv", "estimate.csv", "constants.csv")
         })
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("pq_pairs", ["2:1", "1:1, 2:1, inf:1, 2:2, inf:inf"])
+def test_estimate_fields_are_built_once_per_case_and_omega(monkeypatch, pq_pairs):
+    # the commutator fields do not depend on (p, q): one run_estimate builds
+    # each once per (testfn, m, omega), however many pairs the section lists
+    from gwcommute import cli, estimates
+    from gwcommute.multiindex import level_count
+
+    calls = {"commutator_direct": 0, "radial_commutator": 0}
+
+    def counted(name):
+        original = getattr(estimates, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(estimates, name, counted(name))
+    monkeypatch.setenv("GW_THREADS", "1")  # the counters are not locked
+    sec = config.read_section("estimate", {
+        "dim": "2", "grid": "64,16", "m_values": "1, 2, 3", "pq_pairs": pq_pairs,
+        "omegas": "1,0; 1,0.5", "testfns": "gauss-wide, bandlimited",
+        "radial": "true", "lipschitz": "false",
+    })
+    _, rows, ok = cli.run_estimate(sec)
+    assert ok
+    phis, omegas = len(sec.testfns), len(sec.omegas)
+    assert calls == {
+        "commutator_direct": phis * omegas * sum(level_count(2, m) for m in sec.m_values),
+        "radial_commutator": phis * len(sec.m_values) * omegas,
+    }
+    assert len(rows) == 2 * phis * len(sec.m_values) * len(sec.pq_pairs) * omegas
 
 
 # ------------------------------------------------- one reader per harness

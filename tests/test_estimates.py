@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from gwcommute.catalog import realize_checked
+from gwcommute.commutator import NORM_FLOOR
 from gwcommute.estimates import (
     ExponentTriple,
     constant_A,
     constant_A_tilde,
-    holder_interpolation_gap,
     radial_commutator,
     kernel_moment_bound_report,
     sup_gaussian_moment,
@@ -129,7 +130,7 @@ def test_sup_gaussian_moment_against_numeric_max():
 def test_theorem_bound_closed_form_example():
     # m=1, p=q=1, w=1, phi = G_0.5: lhs = (2/3) sqrt(6/pi), rhs = 2 A(1,1,1,0)
     phi = gaussian_grid(0.5)
-    rep = verify_theorem_1_2(1, ExponentTriple(1.0, 1.0), 1.0, phi, testfn="gauss")
+    rep = verify_theorem_1_2(1, [ExponentTriple(1.0, 1.0)], 1.0, phi, testfn="gauss")[0]
     assert rep.passed and rep.margin > 0
     # L^1 norm of the odd commutator sees the |.| kink: rectangle rule is
     # O(h^2) there, so the closed form only pins the grid value to ~1e-4
@@ -140,7 +141,7 @@ def test_theorem_bound_closed_form_example():
 
 def test_theorem_bound_zero_input():
     zero = gaussian_grid(0.5) * 0.0
-    rep = verify_theorem_1_2(2, ExponentTriple(2.0, 1.0), 1.0 + 0.5j, zero)
+    rep = verify_theorem_1_2(2, [ExponentTriple(2.0, 1.0)], 1.0 + 0.5j, zero)[0]
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passed
 
 
@@ -149,7 +150,7 @@ def test_theorem_bound_sweep_holds():
     for m in (1, 2):
         for p, q in ((1.0, 1.0), (2.0, 1.0), (INF, 1.0), (2.0, 2.0), (INF, INF)):
             for omega in (1.0, 1.0 + 0.9j, 0.25, 4.0):
-                rep = verify_theorem_1_2(m, ExponentTriple(p, q), omega, mix)
+                rep = verify_theorem_1_2(m, [ExponentTriple(p, q)], omega, mix)[0]
                 assert rep.passed, (m, p, q, omega, rep.lhs, rep.rhs)
 
 
@@ -161,14 +162,33 @@ def test_margin_is_dilation_invariant():
     )
     base = gaussian_grid(0.5).with_samples(samples)
     triple = ExponentTriple(2.0, 1.0)
-    rep0 = verify_theorem_1_2(1, triple, 1.0 + 0.5j, base)
+    rep0 = verify_theorem_1_2(1, [triple], 1.0 + 0.5j, base)[0]
     ratio0 = rep0.lhs / rep0.rhs
     for lam in (0.25, 4.0):
         from gwcommute.grid import GridFunction
 
         dilated = GridFunction(1, base.points, base.half_width * lam, samples)
-        rep = verify_theorem_1_2(1, triple, lam * lam * (1.0 + 0.5j), dilated)
+        rep = verify_theorem_1_2(1, [triple], lam * lam * (1.0 + 0.5j), dilated)[0]
         assert rep.lhs / rep.rhs == pytest.approx(ratio0, rel=1e-12), lam
+
+
+PQ_PAIRS = ((1.0, 1.0), (2.0, 1.0), (INF, 1.0), (2.0, 2.0), (INF, INF))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("verify", [verify_theorem_1_2, verify_radial_remark])
+def test_multi_triple_reports_match_one_triple_calls(verify, dim):
+    # the fields are built once per call and normed per triple: each report
+    # must equal, float for float, the report of a call with its triple alone
+    phi = realize_checked("mixture" if dim == 1 else "bandlimited", dim,
+                          512 if dim == 1 else 64, 16.0)
+    triples = [ExponentTriple(p, q) for p, q in PQ_PAIRS]
+    for m in (1, 2):
+        for omega in (1.0, 1.0 + 0.9j):
+            reports = verify(m, triples, omega, phi, testfn="t")
+            alone = [verify(m, [triple], omega, phi, testfn="t")[0] for triple in triples]
+            assert reports == alone, (m, omega)
+            assert [r.param("p") for r in reports] == ["1", "2", "inf", "2", "inf"]
 
 
 def test_weighted_rhs_formula_spot_value():
@@ -191,7 +211,7 @@ def test_radial_remark_m2():
     mono = commutator_direct(MultiIndex([2]), 1.0 + 0.3j, phi)
     assert rel_l2_error(rad, mono) <= 1e-13
     for p, q in ((1.0, 1.0), (2.0, 1.0)):
-        rep = verify_radial_remark(2, ExponentTriple(p, q), 1.0 + 0.3j, phi)
+        rep = verify_radial_remark(2, [ExponentTriple(p, q)], 1.0 + 0.3j, phi)[0]
         assert rep.passed and rep.check == "radial-remark"
 
 
@@ -229,6 +249,21 @@ def test_kernel_moment_bound_sweep():
                 assert rep.passed, (b, r, theta, rep.lhs, rep.rhs)
     rep2 = kernel_moment_bound_report(MultiIndex([2, 1]), 0.4, 2.0, 128, 12.0)
     assert rep2.passed
+
+
+def holder_interpolation_gap(phi, m: int, q: float, k: int) -> tuple[float, float]:
+    """(lhs, rhs) of |||x|^k phi||_q <= |||x|^{m-1}phi||_q^{k/(m-1)} ||phi||_q^{1-k/(m-1)}.
+
+    Valid for 0 <= k <= m-1, m >= 2.
+    """
+    if m < 2 or not 0 <= k <= m - 1:
+        raise ValueError("need m >= 2 and 0 <= k <= m-1")
+    lhs = lp_norm(weight_multiply_radial(phi, k), q)
+    top = lp_norm(weight_multiply_radial(phi, m - 1), q)
+    plain = lp_norm(phi, q)
+    frac = k / (m - 1)
+    rhs = max(top, NORM_FLOOR) ** frac * max(plain, NORM_FLOOR) ** (1.0 - frac)
+    return lhs, rhs
 
 
 def test_holder_interpolation():
