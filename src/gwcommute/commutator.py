@@ -5,16 +5,19 @@
                              R_a(w)phi = sum_{b+g=a, b!=0} sum_{2k<=b}
                                  a!/(g! k! (b-2k)!) w^{|k|} (-2w d)^{b-2k}
                                  e^{wD}(x^g phi)
-                             as Fourier multipliers: one forward
-                             transform per distinct gamma and one
-                             inverse transform
+                             as Fourier multipliers, axis by axis: one
+                             one-axis transform per (axis, g_j) and per
+                             carried part, one inverse at the end; 88
+                             one-axis transforms per 2-d input and w over
+                             the 14 alpha with 1 <= |alpha| <= 4
     evaluate_R_convolution   the regrouped convolution form
                              sum_{b+g=a, b!=0} a!/(b! g!) (x^b G_w) * (x^g phi)
                              by exact-kernel quadrature, no DFT; the sum is
                              applied axis by axis with two accumulators
                              (every b_j so far zero / some b_j nonzero),
-                             |alpha| + 2 Toeplitz passes or fewer in 2-d
-                             instead of two per (b, g) pair
+                             each axis's binomial sum folded into one
+                             matrix: at most 4 passes per alpha in 2-d, 40
+                             over the same 14 alpha, one per alpha in 1-d
 
 Agreement of all three on generic inputs is the point of this module.
 """
@@ -23,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import groupby
 
 import numpy as np
 
@@ -37,12 +39,12 @@ from .multiindex import (
 )
 from .reporting import EstimateReport, format_value
 from .semigroup import (
+    _binomial_pass,
     _toeplitz_pass,
     apply_fourier,
     check_omega,
     check_oracle_grid,
-    derivative_multiplier,
-    heat_multiplier,
+    frequencies,
 )
 
 IDENTITY_TOL = 1e-6
@@ -105,25 +107,77 @@ def commutator_direct(alpha: MultiIndex, omega, phi: GridFunction) -> GridFuncti
 
 
 def evaluate_R_theorem(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunction:
-    """R_alpha(w) phi as one sum of spectra, one inverse transform.
+    """R_alpha(w) phi as Fourier multipliers, one axis at a time.
 
-    Each term is scale * (i xi)^delta exp(-w |xi|^2) applied to x^gamma phi.
-    The terms sharing gamma add up to the multiplier P_gamma(xi) on
-    FFT(x^gamma phi); the group spectra are added into one running sum in
-    expand_R_terms order, then the heat multiplier and the inverse transform
-    are applied once.
+    The terms sharing gamma add up to P_gamma(xi) e^{-w |xi|^2} on
+    FFT(x^gamma phi), and P_gamma(xi) = prod_j p_{a_j, g_j}(xi_j) (see
+    _theorem_symbol) with p_{a, a} = 1, so the sum over gamma != alpha
+    factorises over the axes.  Two parts run through them: Z, where every
+    beta_j so far is 0 (it starts as phi), and S, where some beta_j so far
+    is nonzero (it starts empty).  With F_j the DFT along axis j and
+    a = a_j, axis j maps them to
+
+        S' = F_j(x_j^a S) + sum_{g=a-1..0} p_{a,g}(xi_j) F_j(x_j^g (S + Z))
+        Z' = F_j(x_j^a Z)
+
+    Finished axes stay in frequency space.  Z' is formed only while a later
+    axis has a_k > 0.  At the end S takes the heat factors e^{-w xi_j^2}
+    and one inverse transform over all axes.  That is at most
+    |alpha| + 2n - 2 one-axis forward transforms and n inverse ones,
+    against n per distinct gamma and n: 8 for alpha = (2, 2) instead of 18,
+    and 88 instead of 138 over the 14 alpha with 1 <= |alpha| <= 4.  In 1-d
+    it is the gamma-grouped sum itself, the groups added in expand_R_terms
+    order, so its bits are those of one fftn per gamma and one ifftn.
     """
     w = complex(omega)
+    if alpha.order < 1:
+        raise ValueError("R_alpha requires |alpha| >= 1")
+    if alpha.dim != phi.dim:
+        raise ValueError(f"weight dim {alpha.dim} != grid dim {phi.dim}")
+    xi = frequencies(phi.points, phi.half_width)
+    ixi = 1j * xi
+    x = phi.axis()
+    zeros, some = phi.samples, None
+    # fftn over one axis, not fft: a count of fftn/ifftn calls per axis
+    # transformed (benchmarks/tracer.py keeps one) then sees every transform.
+    for axis, a in enumerate(alpha):
+        shape = (-1,) + (1,) * (phi.dim - 1 - axis)
+        x_j = x.reshape(shape)
+        total = (None if some is None
+                 else np.fft.fftn(x_j**a * some if a else some, axes=[axis]))
+        if a:
+            either = zeros if some is None else some + zeros
+            for g in range(a - 1, -1, -1):
+                part = _theorem_symbol(a, g, w, ixi).reshape(shape) * np.fft.fftn(
+                    x_j**g * either if g else either, axes=[axis])
+                if total is None:
+                    total = part
+                else:
+                    total += part
+        if any(alpha[axis + 1:]):
+            zeros = np.fft.fftn(x_j**a * zeros if a else zeros, axes=[axis])
+        some = total
+    heat = np.exp(-w * np.square(xi))
+    for axis in range(phi.dim):
+        some *= heat.reshape((-1,) + (1,) * (phi.dim - 1 - axis))
+    return phi.with_samples(np.fft.ifftn(some))
 
-    def group_spectrum(gamma: MultiIndex, terms) -> np.ndarray:
-        symbol = reduce(np.add, [t.scale(w) * derivative_multiplier(phi, t.delta)
-                                 for t in terms])
-        return symbol * np.fft.fftn(weight_multiply(phi, gamma).samples)
 
-    spectrum = reduce(np.add, (group_spectrum(gamma, terms) for gamma, terms
-                               in groupby(expand_R_terms(alpha), key=lambda t: t.gamma)))
-    spectrum *= heat_multiplier(phi, w)
-    return phi.with_samples(np.fft.ifftn(spectrum))
+def _theorem_symbol(a: int, g: int, w: complex, ixi: np.ndarray) -> np.ndarray:
+    """p_{a,g}(xi) = sum_{2k<=a-g} a!/(g! k! d!) w^k (-2w)^d (i xi)^d, d = a-g-2k.
+
+    One axis's factor of P_gamma: its terms in expand_R_terms order (k
+    rising), each scale formed as CommutatorTerm.scale forms it.
+    """
+    b = a - g
+    parts = []
+    for k in range(b // 2 + 1):
+        d = b - 2 * k
+        coeff = math.factorial(a) // (
+            math.factorial(g) * math.factorial(k) * math.factorial(d))
+        scale = complex(coeff) * w**k * (-2.0 * w) ** d
+        parts.append(scale * ixi**d if d else scale)
+    return reduce(np.add, parts)
 
 
 def convolution_pairs(alpha: MultiIndex) -> list[tuple[MultiIndex, MultiIndex, int]]:
@@ -145,17 +199,17 @@ def evaluate_R_convolution(alpha: MultiIndex, omega, phi: GridFunction) -> GridF
     pass along axis j != k, so the pair sum factorises over the axes.  Two
     accumulators run through the axes: Z, the part where every b_j so far
     is 0 (it starts as phi), and S, the part where some b_j so far is
-    nonzero (it starts empty).  With a = a_j and T_b the axis-j pass of
-    t^b g_w(t), axis j maps them to
+    nonzero (it starts empty).  With a = a_j, T_0 the axis-j pass of g_w
+    and M_a the one-pass sum_{b=1..a} C(a, b) T_b x_j^{a-b} (see
+    semigroup._binomial_pass), axis j maps them to
 
-        S' = T_0 (x_j^a S) + sum_{b=1..a} C(a, b) T_b (x_j^{a-b} (S + Z))
+        S' = T_0 (x_j^a S) + M_a (S + Z)
         Z' = T_0 (x_j^a Z)
 
     and the result is h^n S.  Z' is formed only while a later axis has
     a_k > 0, the only place it is read.  The b = 0 term is never formed, so
-    nothing cancels.  That takes at most |alpha| + 2n - 2 passes, against
-    n per (b, g) pair: 6 for alpha = (2, 2) instead of 16, and |alpha| in
-    1-d.
+    nothing cancels.  That takes at most 3n - 2 passes, against n per
+    (b, g) pair: 4 for alpha = (2, 2) instead of 16, and one in 1-d.
     """
     w = check_omega(omega)
     if alpha.order < 1:
@@ -163,38 +217,28 @@ def evaluate_R_convolution(alpha: MultiIndex, omega, phi: GridFunction) -> GridF
     if alpha.dim != phi.dim:
         raise ValueError(f"weight dim {alpha.dim} != grid dim {phi.dim}")
     check_oracle_grid(phi.dim, phi.points)
+    x, h = phi.axis(), phi.spacing
     zeros, some = phi.samples, None
     for axis, a in enumerate(alpha):
-        total = None if some is None else _axis_pass(some, axis, 0, a, w, phi)
+        x_j = x.reshape((-1,) + (1,) * (phi.dim - 1 - axis))
         either = (zeros if some is None else some + zeros) if a else None
-        # Past this point S is read only through S + Z, and Z only for Z';
-        # dropping them before the passes below keeps fewer fields alive at
-        # once (test_convolution_peak_memory_within_pair_sum pins the peak).
-        some = None
-        zeros = _axis_pass(zeros, axis, 0, a, w, phi) if any(alpha[axis + 1:]) else None
-        for b in range(1, a + 1):
-            total = _add_scaled(total, math.comb(a, b),
-                                _axis_pass(either, axis, b, a - b, w, phi))
-        some = total
+        # Z is read only for Z' and S only for T_0 (x^a S) from here on;
+        # dropping each when done keeps fewer fields alive at once
+        # (test_convolution_peak_memory_within_pair_sum pins the peak).
+        zeros = (_toeplitz_pass(x_j**a * zeros if a else zeros, axis, 0, w, h)
+                 if any(alpha[axis + 1:]) else None)
+        if some is not None:
+            if a:
+                some *= x_j**a  # S is always a product of this call
+            some = _toeplitz_pass(some, axis, 0, w, h)
+        if a:
+            part = _binomial_pass(either, axis, a, w, x, h)
+            either = None
+            if some is None:
+                some = part
+            else:
+                some += part
     return phi.with_samples(phi.cell_volume * some)
-
-
-def _add_scaled(total: np.ndarray | None, coeff: int, term: np.ndarray) -> np.ndarray:
-    """total + coeff * term, in the memory of the fresh term and of total."""
-    term *= coeff
-    if total is None:
-        return term
-    total += term
-    return total
-
-
-def _axis_pass(u: np.ndarray, axis: int, b: int, power: int, w: complex,
-               phi: GridFunction) -> np.ndarray:
-    """T_b (x_axis^power u): one Toeplitz pass of evaluate_R_convolution."""
-    if power:
-        x = phi.axis().reshape((-1,) + (1,) * (phi.dim - 1 - axis))
-        u = x**power * u
-    return _toeplitz_pass(u, axis, b, w, phi.spacing)
 
 
 def function_commutator(eta: GridFunction, omega, phi: GridFunction) -> GridFunction:

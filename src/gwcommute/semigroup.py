@@ -10,8 +10,10 @@ factorizes per axis, so the oracle is a sequence of Toeplitz passes: one
 N x N matrix per axis, gathered from its 2N-1 distinct entries, built just
 before its pass and applied with one matmul.  That reorders no terms
 across axes and keeps the cost at O(n N^{n+1}) instead of O(N^{2n}).
-commutator.evaluate_R_convolution chains the same passes to apply a
-whole sum of weighted kernels at once: |alpha| + 2 passes or fewer in 2-d.
+commutator.evaluate_R_convolution chains these passes with one more kind,
+_binomial_pass, whose matrix folds a whole binomial sum of weighted
+kernels along one axis: at most 4 passes per alpha in 2-d, 40 over the
+14 alpha with 1 <= |alpha| <= 4, and one per alpha in 1-d.
 """
 from __future__ import annotations
 
@@ -93,19 +95,17 @@ def frequencies(points: int, half_width: float) -> np.ndarray:
     return 2.0 * math.pi * np.fft.fftfreq(points, d=spacing)
 
 
-def _xi_squared(dim: int, points: int, half_width: float) -> np.ndarray:
-    xi = frequencies(points, half_width)
-    total = np.zeros((points,) * dim)
+def _axis_sum(xi_sq: np.ndarray, dim: int) -> np.ndarray:
+    """sum_j xi_sq[k_j] on the dim-fold grid, added axis by axis from zero."""
+    total = np.zeros((xi_sq.size,) * dim)
     for axis in range(dim):
-        shape = [1] * dim
-        shape[axis] = points
-        total = total + np.square(xi).reshape(shape)
+        total = total + xi_sq.reshape((-1,) + (1,) * (dim - 1 - axis))
     return total
 
 
 def xi_squared(phi: GridFunction) -> np.ndarray:
     """|xi|^2 on the frequency grid of phi, FFT order."""
-    return _xi_squared(phi.dim, phi.points, phi.half_width)
+    return _axis_sum(np.square(frequencies(phi.points, phi.half_width)), phi.dim)
 
 
 # One entry: one identity or estimate case applies its omega several times
@@ -113,11 +113,23 @@ def xi_squared(phi: GridFunction) -> np.ndarray:
 # would still miss once per case unless they held every omega, at N^n
 # complex values each.  Under the case-level pool in cli, workers hold
 # different omegas and evict each other's entry; that costs recomputed
-# exp(-w|xi|^2), never a wrong value.
+# exp(-w|xi|^2), never a wrong value.  Only commutator_direct reads it in an
+# identity case, twice; over the 216 acceptance-03 cases through
+# cli.run_identity that is 216 hits of 432 lookups sequentially and 161-180
+# with two workers (ten runs, BLAS pinned to one thread).
 @lru_cache(maxsize=1)
 def _heat_multiplier(dim: int, points: int, half_width: float, w: complex) -> np.ndarray:
-    """exp(-w |xi|^2), read-only because every caller shares it."""
-    multiplier = np.exp(-w * _xi_squared(dim, points, half_width))
+    """exp(-w |xi|^2), read-only because every caller shares it.
+
+    xi_{-k}^2 equals xi_k^2 exactly, so exp runs only on the (N/2 + 1)^n
+    representatives |k_j| <= N/2 and the rest is gathered from them: every
+    exp input, hence every value, is the one the full grid would give.
+    """
+    half = points // 2 + 1
+    total = _axis_sum(np.square(frequencies(points, half_width))[:half], dim)
+    # FFT position k holds frequency k for k <= N/2 and k - N above it.
+    index = np.minimum(np.arange(points), points - np.arange(points))
+    multiplier = np.exp(-w * total)[np.ix_(*([index] * dim))]
     multiplier.setflags(write=False)
     return multiplier
 
@@ -176,6 +188,28 @@ def check_oracle_grid(dim: int, points: int) -> None:
         )
 
 
+def _lattice_offsets(n: int, spacing: float) -> np.ndarray:
+    """The 2N-1 lattice offsets (i - j) h; on a dyadic box they equal the
+    differences x_i - x_j exactly."""
+    return spacing * np.arange(-(n - 1), n)
+
+
+def _lattice_view(row: np.ndarray, n: int) -> np.ndarray:
+    """view[i, j] = row[n - 1 + i - j]: the N x N Toeplitz matrix of a
+    2N-1 row, as a strided view without a copy."""
+    return sliding_window_view(row[::-1], n)[::-1]
+
+
+def _matrix_pass(matrix: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
+    """Apply an N x N matrix along one axis of u with one matmul."""
+    n = u.shape[axis]
+    if axis == 0:
+        return (matrix @ u.reshape(n, -1)).reshape(u.shape)
+    if axis == u.ndim - 1:
+        return u @ matrix.T
+    return (matrix @ u.reshape(math.prod(u.shape[:axis]), n, -1)).reshape(u.shape)
+
+
 def _toeplitz_pass(u: np.ndarray, axis: int, b: int, omega: complex,
                    spacing: float) -> np.ndarray:
     """Apply along one axis of u the Toeplitz matrix of t^b g_w(t).
@@ -184,19 +218,42 @@ def _toeplitz_pass(u: np.ndarray, axis: int, b: int, omega: complex,
     G_w; the matrix is built here and dropped after the one product.
     """
     n = u.shape[axis]
-    # The 2N-1 lattice offsets (i - j) h; on a dyadic box they equal the
-    # differences x_i - x_j exactly.
-    offsets = spacing * np.arange(-(n - 1), n)
+    offsets = _lattice_offsets(n, spacing)
     row = _axis_gaussian(omega, offsets)
     if b:
         row = row * offsets**b
-    # matrix[i, j] = row[n - 1 + i - j]: the Toeplitz matrix of the row.
-    matrix = np.ascontiguousarray(sliding_window_view(row[::-1], n)[::-1])
-    if axis == 0:
-        return (matrix @ u.reshape(n, -1)).reshape(u.shape)
-    if axis == u.ndim - 1:
-        return u @ matrix.T
-    return (matrix @ u.reshape(math.prod(u.shape[:axis]), n, -1)).reshape(u.shape)
+    return _matrix_pass(np.ascontiguousarray(_lattice_view(row, n)), u, axis)
+
+
+def _binomial_pass(u: np.ndarray, axis: int, a: int, omega: complex,
+                   x: np.ndarray, spacing: float) -> np.ndarray:
+    """sum_{b=1..a} C(a, b) T_b (x^{a-b} u) along one axis, as one pass.
+
+    T_b is the _toeplitz_pass of t^b g_w(t).  The sum is the matrix
+
+        M_a[i, k] = g_w(d) sum_{b=1..a} C(a, b) d^b x_k^{a-b},  d = x_i - x_k,
+
+    built by Horner in d, never as g_w(d) (x_i^a - x_k^a), which cancels
+    where d is small.  It is built in one N x N buffer from strided views of
+    2N-1 rows, so one pass holds no more memory than one _toeplitz_pass.
+    x holds the N axis coordinates x_k.
+    """
+    n = u.shape[axis]
+    # complex offsets, so no in-place product below casts
+    offsets = _lattice_offsets(n, spacing).astype(complex)
+    gauss = _lattice_view(_axis_gaussian(omega, offsets), n)
+    d = _lattice_view(offsets, n)
+    matrix = np.array(d)
+    with np.errstate():  # restores the buffer size on exit
+        # An in-place product with a strided or broadcast operand runs
+        # through a scratch buffer, 8192 elements (128 KiB) by default;
+        # one row's worth keeps it small beside the matrix.
+        np.setbufsize(n)
+        for b in range(a - 1, 0, -1):
+            matrix += (math.comb(a, b) * x ** (a - b)).astype(complex)
+            matrix *= d
+        matrix *= gauss
+    return _matrix_pass(matrix, u, axis)
 
 
 def convolve_weighted_kernel(beta: MultiIndex, omega, phi: GridFunction) -> GridFunction:

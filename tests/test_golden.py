@@ -31,7 +31,7 @@ from gwcommute.cli import main
 
 SUITE_ARTIFACTS = {
     "identity.csv":
-        "55e0ae2106ba6c5ddace248156024c2d0af50b7860a7ca2b1f0ccd61c1984841",
+        "4da18592b46f96b7fde9f5b339e8151f82259f920899fa6293e6ced336bd4c4d",
     "estimate.csv":
         "10356356edf5a4b9a6b5a3fdfbf1eb791c0bb16e48e2397c007743c74081d86e",
     "constants.csv":
@@ -88,7 +88,7 @@ SUBCOMMANDS = {
     "verify-identity-1d": (
         ["verify-identity", "--alpha", "2", "--omega", "1,0.5",
          "--testfn", "mixture"],
-        0, "6d2ae4052fae3174e76933d36259c780b868d9b62ec2f845e48894afd07c20d3", {},
+        0, "25e8e7544adf225dfec8944db4ea7c510fc57b26aee89abdca0b686a93ef8be0", {},
     ),
     "verify-identity-2d-shift": (
         ["verify-identity", "--alpha", "1.1", "--omega", "1,0.3",
@@ -96,12 +96,12 @@ SUBCOMMANDS = {
          "--out", "identity2d.csv"],
         0, EMPTY,
         {"identity2d.csv":
-         "fe827b6bb4370e7a6f0c952dd4123757631ced9ee72469147684e040517f55f4"},
+         "d647b2da289b828917e13a13d13e78d46e51626ddd10a201a22546f518e879f3"},
     ),
     "verify-identity-fail": (
         ["verify-identity", "--alpha", "3", "--omega", "1,0.9",
          "--testfn", "bandlimited", "--tolerance", "1e-18"],
-        1, "cc68ebae7dcb55d6f03451db2beeec6b7351d6b127ba2930258a3aed1e0c9afe", {},
+        1, "5edbccf69663b4a79cdd7d9510113a33476d078d411efb12657bad7bfe780fdc", {},
     ),
     "verify-estimate-radial": (
         ["verify-estimate", "--m", "2", "--p", "2", "--q", "1",

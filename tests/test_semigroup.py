@@ -183,14 +183,19 @@ def test_heat_multiplier_is_read_only():
         heat_multiplier(phi, -0.1)
 
 
-@pytest.mark.parametrize("dim, points", [(1, 512), (2, 64)])
+@pytest.mark.parametrize("dim, points", [(1, 512), (2, 64), (3, 16)])
 def test_apply_fourier_cached_multiplier_is_bit_identical(dim, points):
+    # The multiplier evaluates exp on the (N/2 + 1)^n representatives |k_j|
+    # and gathers the rest; it must equal exp on the full grid bit for bit,
+    # also on a purely imaginary w, where nothing decays.
     phi = random_grid(dim, points, 16.0)
-    w1, w2 = 1.0 + 0.99j, 0.25
+    w1, w2, w3 = 1.0 + 0.99j, 0.25, 0.5j
     _heat_multiplier.cache_clear()
-    for omega in (w1, w2, w1, w2, w1):
+    for omega in (w1, w2, w1, w3, w2, w3, w1):
         got = apply_fourier(phi, omega)
         assert np.array_equal(got.samples, apply_fourier_uncached(phi, omega).samples)
+        want = np.exp(-complex(omega) * xi_squared(phi))
+        assert np.array_equal(heat_multiplier(phi, omega), want)
     # the in-place product must leave the shared multiplier as it was
     np.testing.assert_array_equal(
         _heat_multiplier(dim, points, 16.0, w1), np.exp(-w1 * xi_squared(phi))
