@@ -5,8 +5,9 @@ Layout:
     multiindex  exact multi-index arithmetic and enumeration
     laurent     big-integer Laurent polynomials in the parameter w
     hermite     Hermite polynomials attached to exp(-|x|^2/w), exact
-    grid        sampled complex functions on uniform boxes, L^p norms, IO
-    semigroup   e^{w*Laplacian} by Fourier multiplier and by quadrature
+    grid        sampled complex functions on uniform boxes, L^p norms, weights
+    semigroup   e^{w*Laplacian} by Fourier multiplier and by quadrature;
+                [eta, e^{w*Laplacian}] for a sampled weight eta
     commutator  three independent evaluators of [x^a, e^{w*Laplacian}]
     estimates   explicit constants and weighted-norm estimate checks
     cgl         complex Ginzburg-Landau decay/growth experiment

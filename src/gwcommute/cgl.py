@@ -28,7 +28,7 @@ import numpy as np
 
 from .grid import GridFunction, boundary_mass_fraction, lp_norm, weight_multiply
 from .multiindex import enumerate_level
-from .semigroup import check_omega, xi_squared
+from .semigroup import check_omega, heat_multiplier
 
 DEFAULT_SMALLNESS = 0.05
 DEFAULT_BLOWUP_FACTOR = 10.0
@@ -111,9 +111,8 @@ class _Stepper:
 
     def __init__(self, cfg: CGLConfig, dt: float):
         self.cfg = cfg
-        xi_sq = xi_squared(cfg.u0)
-        self.full = np.exp(-cfg.nu * dt * xi_sq)
-        self.half = np.exp(-cfg.nu * (dt / 2.0) * xi_sq)
+        self.full = heat_multiplier(cfg.u0, cfg.nu * dt)
+        self.half = heat_multiplier(cfg.u0, cfg.nu * (dt / 2.0))
         self.kick = dt * self.half
         self.sup_limit = DEFAULT_BLOWUP_FACTOR * lp_norm(cfg.u0, math.inf)
 

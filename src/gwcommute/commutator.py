@@ -1,6 +1,7 @@
 """Three independent evaluators of [x^a, e^{w*Laplacian}] phi.
 
-    commutator_direct        x^a e^{wD}phi - e^{wD}(x^a phi), spectral semigroup
+    commutator_direct        x^a e^{wD}phi - e^{wD}(x^a phi), both flows through
+                             one multiplier (semigroup.heat_commutator)
     evaluate_R_theorem       the explicit representation
                              R_a(w)phi = sum_{b+g=a, b!=0} sum_{2k<=b}
                                  a!/(g! k! (b-2k)!) w^{|k|} (-2w d)^{b-2k}
@@ -29,7 +30,7 @@ from functools import reduce
 
 import numpy as np
 
-from .grid import GridFunction, lp_norm, weight_multiply
+from .grid import GridFunction, lp_norm, monomial_weight, weight_multiply
 from .multiindex import (
     MultiIndex,
     enumerate_dominated,
@@ -41,10 +42,10 @@ from .reporting import EstimateReport, format_value
 from .semigroup import (
     _binomial_pass,
     _toeplitz_pass,
-    apply_fourier,
     check_omega,
     check_oracle_grid,
     frequencies,
+    heat_commutator,
 )
 
 IDENTITY_TOL = 1e-6
@@ -102,8 +103,7 @@ def expand_R_terms(alpha: MultiIndex) -> list[CommutatorTerm]:
 
 def commutator_direct(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunction:
     """[x^a, e^{wD}] phi by its definition; the brute-force reference."""
-    flowed = apply_fourier(phi, omega)
-    return weight_multiply(flowed, alpha) - apply_fourier(weight_multiply(phi, alpha), omega)
+    return heat_commutator(monomial_weight(phi, alpha), omega, phi)
 
 
 def evaluate_R_theorem(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunction:
@@ -244,9 +244,7 @@ def evaluate_R_convolution(alpha: MultiIndex, omega, phi: GridFunction) -> GridF
 def function_commutator(eta: GridFunction, omega, phi: GridFunction) -> GridFunction:
     """[eta, e^{wD}] phi for a bounded multiplier eta given on the same grid."""
     eta.require_conformable(phi)
-    flowed = apply_fourier(phi, omega)
-    weighted = phi.with_samples(eta.samples * phi.samples)
-    return flowed.with_samples(eta.samples * flowed.samples) - apply_fourier(weighted, omega)
+    return heat_commutator(eta.samples, omega, phi)
 
 
 def _omega_params(omega: complex) -> list[tuple[str, str]]:

@@ -28,10 +28,16 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .commutator import commutator_direct, function_commutator
-from .grid import GridFunction, check_exponent, lp_norm, weight_multiply_radial
+from .grid import (
+    GridFunction,
+    check_exponent,
+    lp_norm,
+    radial_weight,
+    weight_multiply_radial,
+)
 from .multiindex import MultiIndex, enumerate_level, level_count
 from .reporting import EstimateReport, format_exponent, format_value
-from .semigroup import apply_fourier, check_omega, check_theta, weighted_kernel_grid
+from .semigroup import check_omega, check_theta, heat_commutator, weighted_kernel_grid
 
 
 def _reciprocal(p: float) -> float:
@@ -163,10 +169,7 @@ def verify_theorem_1_2(m: int, triples: Sequence[ExponentTriple], omega,
 
 def radial_commutator(m: int, omega, phi: GridFunction) -> GridFunction:
     """[|x|^m, e^{wD}] phi."""
-    flowed = apply_fourier(phi, omega)
-    return weight_multiply_radial(flowed, m) - apply_fourier(
-        weight_multiply_radial(phi, m), omega
-    )
+    return heat_commutator(radial_weight(phi, m), omega, phi)
 
 
 def verify_radial_remark(m: int, triples: Sequence[ExponentTriple], omega,

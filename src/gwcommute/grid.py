@@ -7,16 +7,11 @@ construction; every operation allocates a fresh output.
 from __future__ import annotations
 
 import math
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .multiindex import MultiIndex
-
-_MAGIC = b"GWGF"
-_FORMAT_VERSION = 1
 
 
 def check_grid(dim: int, points: int, half_width: float) -> None:
@@ -135,29 +130,39 @@ def _open_mesh(phi: GridFunction) -> list[np.ndarray]:
     return list(np.meshgrid(*([phi.axis()] * phi.dim), indexing="ij", sparse=True))
 
 
-def weight_multiply(phi: GridFunction, alpha: MultiIndex) -> GridFunction:
-    """Pointwise x^alpha * phi."""
+def monomial_weight(phi: GridFunction, alpha: MultiIndex) -> np.ndarray:
+    """x^alpha on the grid of phi, shaped to broadcast against its samples."""
     if alpha.dim != phi.dim:
         raise ValueError(f"weight dimension {alpha.dim} != grid dimension {phi.dim}")
-    if alpha.order == 0:
-        return phi
     mesh = _open_mesh(phi)
     weight = np.ones_like(mesh[0])
     for axis_coord, power in zip(mesh, alpha):
         if power:
             weight = weight * axis_coord**power
+    return weight
+
+
+def radial_weight(phi: GridFunction, m: int) -> np.ndarray:
+    """|x|^m on the grid of phi, shaped to broadcast against its samples."""
+    if m < 0:
+        raise ValueError("radial weight power must be >= 0")
+    radius_sq = sum(c**2 for c in _open_mesh(phi))
+    return radius_sq ** (m / 2.0)
+
+
+def weight_multiply(phi: GridFunction, alpha: MultiIndex) -> GridFunction:
+    """Pointwise x^alpha * phi."""
+    weight = monomial_weight(phi, alpha)
+    if alpha.order == 0:
+        return phi
     return phi.with_samples(weight * phi.samples)
 
 
 def weight_multiply_radial(phi: GridFunction, m: int) -> GridFunction:
     """Pointwise |x|^m * phi."""
-    if m < 0:
-        raise ValueError("radial weight power must be >= 0")
     if m == 0:
         return phi
-    mesh = _open_mesh(phi)
-    radius_sq = sum(c**2 for c in mesh)
-    return phi.with_samples(radius_sq ** (m / 2.0) * phi.samples)
+    return phi.with_samples(radial_weight(phi, m) * phi.samples)
 
 
 def boundary_mass_fraction(phi: GridFunction) -> float:
@@ -172,53 +177,4 @@ def boundary_mass_fraction(phi: GridFunction) -> float:
     if total == 0.0:
         return 0.0
     return float(np.abs(phi.samples)[outer].sum() / total)
-
-
-def save_gwgf(phi: GridFunction, path) -> None:
-    """Flat binary format: magic "GWGF", version u32, then n, N, L as f64,
-    then interleaved (re, im) f64 samples in row-major order."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _FORMAT_VERSION))
-        fh.write(struct.pack("<3d", float(phi.dim), float(phi.points), float(phi.half_width)))
-        flat = np.ascontiguousarray(phi.samples).ravel()
-        inter = np.empty(2 * flat.size, dtype="<f8")
-        inter[0::2] = flat.real
-        inter[1::2] = flat.imag
-        fh.write(inter.tobytes())
-
-
-def _gwgf_header(dim_f: float, points_f: float, half_width: float) -> tuple[int, int]:
-    """(dim, points) from a GWGF header, checked before any payload is read."""
-    if not (dim_f.is_integer() and points_f.is_integer()):
-        raise ValueError(f"GWGF header n={dim_f!r}, N={points_f!r} is not integral")
-    dim, points = int(dim_f), int(points_f)
-    check_grid(dim, points, half_width)
-    return dim, points
-
-
-def load_gwgf(path) -> GridFunction:
-    """Read a file written by save_gwgf; reject bad headers and payload sizes."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        header = fh.read(28)
-        if len(header) != 28:
-            raise ValueError("truncated GWGF header")
-        version, dim_f, points_f, half_width = struct.unpack("<I3d", header)
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported GWGF version {version}")
-        dim, points = _gwgf_header(dim_f, points_f, half_width)
-        payload = os.fstat(fh.fileno()).st_size - fh.tell()
-        size = 16
-        for _ in range(dim):  # stops as soon as the size outgrows the file
-            size *= points
-            if size > payload:
-                raise ValueError("truncated GWGF payload")
-        if size != payload:
-            raise ValueError(f"{payload - size} trailing bytes after the GWGF payload")
-        inter = np.frombuffer(fh.read(size), dtype="<f8")
-    samples = (inter[0::2] + 1j * inter[1::2]).reshape((points,) * dim)
-    return GridFunction(dim, points, half_width, samples)
 

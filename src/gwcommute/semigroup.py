@@ -1,7 +1,12 @@
 """The semigroup e^{w*Laplacian} on grids, two independent ways.
 
-apply_fourier is the production path (diagonal in the discrete Fourier
-basis).  apply_direct is the quadrature oracle: the plain sum
+The spectral path is diagonal in the discrete Fourier basis:
+heat_multiplier builds exp(-w |xi|^2), apply_fourier flows one field
+through it, and heat_commutator flows both terms of
+[eta, e^{w*Laplacian}] phi through one multiplier.  The commutators with
+x^a, |x|^m and a sampled eta all call heat_commutator; the CGL stepper
+takes its multipliers from heat_multiplier.  apply_direct is the
+quadrature oracle: the plain sum
 
     (e^{w*Laplacian} phi)(x) ~ h^n sum_y G_w(x - y) phi(y)
 
@@ -18,7 +23,7 @@ kernels along one axis: at most 4 passes per alpha in 2-d, 40 over the
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -108,41 +113,22 @@ def xi_squared(phi: GridFunction) -> np.ndarray:
     return _axis_sum(np.square(frequencies(phi.points, phi.half_width)), phi.dim)
 
 
-# One entry: one identity or estimate case applies its omega several times
-# in a row, and a sweep cycles through its omegas, so a few more entries
-# would still miss once per case unless they held every omega, at N^n
-# complex values each.  Under the case-level pool in cli, workers hold
-# different omegas and evict each other's entry; that costs recomputed
-# exp(-w|xi|^2), never a wrong value.  Only commutator_direct reads it in an
-# identity case, twice; over the 216 acceptance-03 cases through
-# cli.run_identity that is 216 hits of 432 lookups sequentially and 161-180
-# with two workers (ten runs, BLAS pinned to one thread).
-@lru_cache(maxsize=1)
-def _heat_multiplier(dim: int, points: int, half_width: float, w: complex) -> np.ndarray:
-    """exp(-w |xi|^2), read-only because every caller shares it.
+def heat_multiplier(phi: GridFunction, omega) -> np.ndarray:
+    """exp(-w |xi|^2) on the frequency grid of phi, FFT order; re w >= 0.
 
     xi_{-k}^2 equals xi_k^2 exactly, so exp runs only on the (N/2 + 1)^n
     representatives |k_j| <= N/2 and the rest is gathered from them: every
     exp input, hence every value, is the one the full grid would give.
     """
-    half = points // 2 + 1
-    total = _axis_sum(np.square(frequencies(points, half_width))[:half], dim)
-    # FFT position k holds frequency k for k <= N/2 and k - N above it.
-    index = np.minimum(np.arange(points), points - np.arange(points))
-    multiplier = np.exp(-w * total)[np.ix_(*([index] * dim))]
-    multiplier.setflags(write=False)
-    return multiplier
-
-
-def heat_multiplier(phi: GridFunction, omega) -> np.ndarray:
-    """exp(-w |xi|^2) on the frequency grid of phi, FFT order; re w >= 0.
-
-    Cached and shared by every caller, hence read-only.
-    """
     w = complex(omega)
     if w.real < 0.0:
         raise ValueError(f"re omega must be >= 0, got {w}")
-    return _heat_multiplier(phi.dim, phi.points, phi.half_width, w)
+    points = phi.points
+    half = points // 2 + 1
+    total = _axis_sum(np.square(frequencies(points, phi.half_width))[:half], phi.dim)
+    # FFT position k holds frequency k for k <= N/2 and k - N above it.
+    index = np.minimum(np.arange(points), points - np.arange(points))
+    return np.exp(-w * total)[np.ix_(*([index] * phi.dim))]
 
 
 def apply_fourier(phi: GridFunction, omega) -> GridFunction:
@@ -157,6 +143,24 @@ def apply_fourier(phi: GridFunction, omega) -> GridFunction:
     spectrum = np.fft.fftn(phi.samples)
     spectrum *= multiplier
     return phi.with_samples(np.fft.ifftn(spectrum))
+
+
+def heat_commutator(weight: np.ndarray, omega, phi: GridFunction) -> GridFunction:
+    """[eta, e^{w*Laplacian}] phi = eta e^{wD}phi - e^{wD}(eta phi).
+
+    weight holds the samples of eta and broadcasts against phi.samples.
+    Both flows share one multiplier; w = 0 gives exact zeros, as the
+    identity flow does.
+    """
+    w = complex(omega)
+    multiplier = heat_multiplier(phi, w)
+    if w == 0:
+        return phi.with_samples(np.zeros_like(phi.samples))
+    flowed = np.fft.fftn(phi.samples)
+    flowed *= multiplier
+    weighted = np.fft.fftn(weight * phi.samples)
+    weighted *= multiplier
+    return phi.with_samples(weight * np.fft.ifftn(flowed) - np.fft.ifftn(weighted))
 
 
 def derivative_multiplier(phi: GridFunction, delta: MultiIndex):

@@ -2,7 +2,6 @@
 import dataclasses
 import math
 import re
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from gwcommute.config import (
     parse_suite_config,
 )
 from gwcommute.estimates import ExponentTriple, constant_A
-from gwcommute.grid import GridFunction, load_gwgf, lp_norm
+from gwcommute.grid import GridFunction, lp_norm
 from gwcommute.multiindex import MultiIndex
 from gwcommute.semigroup import check_omega, check_theta, convolve_weighted_kernel
 
@@ -377,14 +376,9 @@ def default_section(name):
 @pytest.mark.parametrize("points, half_width", [
     (8, math.nan), (8, math.inf), (8, 0.0), (8, -2.0), (12, 2.0),
 ])
-def test_grid_rule_library_and_config_agree(tmp_path, points, half_width):
+def test_grid_rule_library_and_config_agree(points, half_width):
     with pytest.raises(ValueError):
         GridFunction(1, points, half_width, np.zeros(points))
-    path = tmp_path / "bad.gwgf"
-    path.write_bytes(b"GWGF" + struct.pack("<I3d", 1, 1.0, points, half_width)
-                     + bytes(16 * points))
-    with pytest.raises(ValueError):
-        load_gwgf(path)
     with pytest.raises(ConfigError):
         parse_grid(f"{points},{half_width}")
 

@@ -1,7 +1,4 @@
 import math
-import struct
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +9,10 @@ from gwcommute.grid import (
     GridFunction,
     boundary_mass_fraction,
     from_callable,
-    load_gwgf,
     lp_norm,
+    monomial_weight,
+    radial_weight,
     rel_l2_error,
-    save_gwgf,
     weight_multiply,
     weight_multiply_radial,
 )
@@ -119,6 +116,19 @@ def test_broadcast_weights_are_bit_identical_to_meshgrid(dim, points, half_width
                               weight_multiply_radial_meshgrid(phi, m).samples), m
 
 
+def test_weight_arrays_broadcast_and_check_their_index():
+    phi = GridFunction(2, 16, 4.0, np.ones((16, 16)))
+    x, y = phi.meshgrid()
+    assert monomial_weight(phi, MultiIndex((3, 0))).shape == (16, 1)
+    weight = np.broadcast_to(monomial_weight(phi, MultiIndex((1, 2))), (16, 16))
+    assert np.array_equal(weight, x * y**2)
+    assert np.array_equal(radial_weight(phi, 2), x**2 + y**2)
+    with pytest.raises(ValueError):
+        monomial_weight(phi, MultiIndex((1,)))
+    with pytest.raises(ValueError):
+        radial_weight(phi, -1)
+
+
 def test_weight_multiply_cases():
     phi = make_1d(gaussian(0.5), points=64, half_width=8.0)
     assert weight_multiply(phi, MultiIndex([0])) is phi
@@ -187,90 +197,6 @@ def test_boundary_mass_fraction():
     # half-width 8: the monitored collar is |x| >= 4
     mixed = make_1d(lambda x: np.ones_like(x, dtype=complex), points=64, half_width=8.0)
     assert boundary_mass_fraction(mixed) == pytest.approx(0.5, abs=0.05)
-
-
-def test_gwgf_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    samples = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    phi = GridFunction(2, 16, 5.0, samples)
-    path = tmp_path / "field.gwgf"
-    save_gwgf(phi, path)
-    back = load_gwgf(path)
-    assert back.dim == 2 and back.points == 16 and back.half_width == 5.0
-    np.testing.assert_array_equal(back.samples, phi.samples)
-    raw = path.read_bytes()
-    assert raw[:4] == b"GWGF"
-    # header: magic + u32 version + 3 doubles, then 16*16 complex values
-    assert len(raw) == 4 + 4 + 24 + 16 * 16 * 16
-
-
-def test_gwgf_rejects_corrupt_input(tmp_path):
-    phi = make_1d(gaussian(1.0), points=8, half_width=2.0)
-    path = tmp_path / "field.gwgf"
-    save_gwgf(phi, path)
-    clipped = tmp_path / "clipped.gwgf"
-    clipped.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError):
-        load_gwgf(clipped)
-    wrong = tmp_path / "wrong.gwgf"
-    wrong.write_bytes(b"NOPE" + path.read_bytes()[4:])
-    with pytest.raises(ValueError):
-        load_gwgf(wrong)
-
-
-@settings(max_examples=25, deadline=None)
-@given(dim=st.sampled_from([1, 2]), points=st.sampled_from([8, 16]),
-       half_width=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
-def test_gwgf_round_trip_any_header(dim, points, half_width, seed):
-    rng = np.random.default_rng(seed)
-    shape = (points,) * dim
-    phi = GridFunction(dim, points, half_width,
-                       rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "field.gwgf"
-        save_gwgf(phi, path)
-        back = load_gwgf(path)
-    assert (back.dim, back.points, back.half_width) == (dim, points, half_width)
-    assert np.array_equal(back.samples, phi.samples)
-
-
-def gwgf_bytes(dim, points, half_width, payload_bytes):
-    header = b"GWGF" + struct.pack("<I", 1) + struct.pack("<3d", dim, points, half_width)
-    return header + bytes(payload_bytes)
-
-
-@pytest.mark.parametrize("dim, points, half_width, payload, message", [
-    (1.5, 8.0, 2.0, 16 * 8, "not integral"),
-    (1.0, 8.7, 2.0, 16 * 8, "not integral"),
-    (1.0, 12.0, 2.0, 16 * 12, "power of two"),
-    (0.0, 8.0, 2.0, 0, "n >= 1"),
-    (1.0, 8.0, float("inf"), 16 * 8, "finite and positive"),
-    (1.0, 8.0, float("nan"), 16 * 8, "finite and positive"),
-    (1.0, 8.0, 0.0, 16 * 8, "finite and positive"),
-    (1.0, 8.0, -2.0, 16 * 8, "finite and positive"),
-    (1.0, 8.0, 2.0, 16 * 8 - 1, "truncated"),
-    (2.0, 8.0, 2.0, 16 * 8, "truncated"),
-    (1e9, 8.0, 2.0, 16 * 8, "truncated"),
-])
-def test_gwgf_rejects_corrupt_header(tmp_path, dim, points, half_width, payload, message):
-    path = tmp_path / "bad.gwgf"
-    path.write_bytes(gwgf_bytes(dim, points, half_width, payload))
-    with pytest.raises(ValueError, match=message):
-        load_gwgf(path)
-
-
-def test_gwgf_rejects_trailing_bytes(tmp_path):
-    phi = make_1d(gaussian(1.0), points=8, half_width=2.0)
-    path = tmp_path / "field.gwgf"
-    save_gwgf(phi, path)
-    padded = tmp_path / "padded.gwgf"
-    padded.write_bytes(path.read_bytes() + b"\0")
-    with pytest.raises(ValueError, match="1 trailing bytes"):
-        load_gwgf(padded)
-    short = tmp_path / "short.gwgf"
-    short.write_bytes(path.read_bytes()[:20])
-    with pytest.raises(ValueError, match="truncated GWGF header"):
-        load_gwgf(short)
 
 
 @st.composite

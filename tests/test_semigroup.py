@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from gwcommute import semigroup
+from gwcommute.commutator import commutator_direct, function_commutator
+from gwcommute.estimates import radial_commutator
 from gwcommute.grid import GridFunction, from_callable, lp_norm, rel_l2_error, weight_multiply
 from gwcommute.hermite import gaussian_log_prefactor
 from gwcommute.multiindex import MultiIndex, enumerate_up_to
 from gwcommute.semigroup import (
-    _heat_multiplier,
     apply_direct,
     apply_fourier,
     check_omega,
@@ -15,6 +17,7 @@ from gwcommute.semigroup import (
     convolve_weighted_kernel,
     derivative_multiplier,
     frequencies,
+    heat_commutator,
     heat_multiplier,
     kernel,
     kernel_grid,
@@ -172,34 +175,100 @@ def test_apply_fourier_rejects_bad_omega():
         apply_fourier(phi, complex("nan"))
 
 
-def test_heat_multiplier_is_read_only():
+def test_heat_multiplier_is_fresh_and_checks_omega():
     phi = random_grid(2, 16, 4.0)
-    multiplier = heat_multiplier(phi, 0.5 + 0.25j)
-    assert multiplier is _heat_multiplier(2, 16, 4.0, 0.5 + 0.25j)
-    assert not multiplier.flags.writeable
-    with pytest.raises(ValueError):
-        multiplier[0, 0] = 0.0
+    first = heat_multiplier(phi, 0.5 + 0.25j)
+    first[0, 0] = 0.0  # each call returns its own array
+    second = heat_multiplier(phi, 0.5 + 0.25j)
+    assert second is not first
+    assert second[0, 0] == 1.0
+    assert np.array_equal(second, np.exp(-(0.5 + 0.25j) * xi_squared(phi)))
     with pytest.raises(ValueError):
         heat_multiplier(phi, -0.1)
 
 
 @pytest.mark.parametrize("dim, points", [(1, 512), (2, 64), (3, 16)])
-def test_apply_fourier_cached_multiplier_is_bit_identical(dim, points):
+def test_heat_multiplier_is_bit_identical_to_full_grid_exp(dim, points):
     # The multiplier evaluates exp on the (N/2 + 1)^n representatives |k_j|
     # and gathers the rest; it must equal exp on the full grid bit for bit,
     # also on a purely imaginary w, where nothing decays.
     phi = random_grid(dim, points, 16.0)
-    w1, w2, w3 = 1.0 + 0.99j, 0.25, 0.5j
-    _heat_multiplier.cache_clear()
-    for omega in (w1, w2, w1, w3, w2, w3, w1):
+    for omega in (1.0 + 0.99j, 0.25, 0.5j):
         got = apply_fourier(phi, omega)
         assert np.array_equal(got.samples, apply_fourier_uncached(phi, omega).samples)
         want = np.exp(-complex(omega) * xi_squared(phi))
         assert np.array_equal(heat_multiplier(phi, omega), want)
-    # the in-place product must leave the shared multiplier as it was
-    np.testing.assert_array_equal(
-        _heat_multiplier(dim, points, 16.0, w1), np.exp(-w1 * xi_squared(phi))
-    )
+
+
+def commutator_reference(weight, omega, phi):
+    """eta e^{wD}phi - e^{wD}(eta phi), each flow with its own multiplier."""
+    flowed = apply_fourier_uncached(phi, omega)
+    weighted = apply_fourier_uncached(phi.with_samples(weight * phi.samples), omega)
+    return weight * flowed.samples - weighted.samples
+
+
+def monomial_samples(phi, alpha):
+    """x^alpha on the full meshgrid."""
+    mesh = phi.meshgrid()
+    weight = np.ones_like(mesh[0])
+    for coord, power in zip(mesh, alpha):
+        if power:
+            weight = weight * coord**power
+    return weight
+
+
+COMMUTATOR_GRIDS = [(1, 512, (3,)), (2, 64, (2, 1)), (3, 16, (1, 0, 2))]
+COMMUTATOR_OMEGAS = [1.0 + 0.99j, 0.25, 0.5j, 2.0 - 1.0j]
+
+
+@pytest.mark.parametrize("dim, points, alpha", COMMUTATOR_GRIDS)
+@pytest.mark.parametrize("omega", COMMUTATOR_OMEGAS)
+def test_commutators_match_two_flow_reference_bit_for_bit(dim, points, alpha, omega):
+    phi = random_grid(dim, points, 8.0)
+    eta = random_grid(dim, points, 8.0, seed=5)
+    alpha = MultiIndex(alpha)
+    radius_sq = sum(c**2 for c in phi.meshgrid())
+    cases = [
+        (commutator_direct(alpha, omega, phi), monomial_samples(phi, alpha)),
+        (radial_commutator(3, omega, phi), radius_sq**1.5),
+        (function_commutator(eta, omega, phi), eta.samples),
+    ]
+    for got, weight in cases:
+        assert np.array_equal(got.samples, commutator_reference(weight, omega, phi))
+
+
+def test_each_commutator_builds_one_multiplier(monkeypatch):
+    calls = []
+
+    def counted(phi, omega):
+        calls.append(complex(omega))
+        return heat_multiplier(phi, omega)
+
+    monkeypatch.setattr(semigroup, "heat_multiplier", counted)
+    phi = random_grid(2, 16, 4.0)
+    commutator_direct(MultiIndex((1, 2)), 0.5 + 0.5j, phi)
+    assert calls == [0.5 + 0.5j]
+    radial_commutator(2, 0.25, phi)
+    assert calls[1:] == [0.25]
+    function_commutator(random_grid(2, 16, 4.0, seed=3), 1.0, phi)
+    assert calls[2:] == [1.0]
+
+
+def test_commutators_vanish_exactly_at_zero_time():
+    # e^{0 D} is the identity, so every commutator is exactly zero; two
+    # FFT round trips would leave rounding noise of order 1e-15 instead.
+    phi = random_grid(2, 32, 8.0)
+    eta = random_grid(2, 32, 8.0, seed=5)
+    for field in (commutator_direct(MultiIndex((2, 1)), 0.0, phi),
+                  radial_commutator(1, 0j, phi),
+                  function_commutator(eta, 0.0, phi)):
+        assert not np.any(field.samples)
+
+
+def test_heat_commutator_rejects_negative_real_time():
+    phi = random_grid(1, 16, 4.0)
+    with pytest.raises(ValueError, match="re omega"):
+        heat_commutator(np.ones(16), -0.1 + 1j, phi)
 
 
 def test_heat_flow_on_gaussian_fourier():

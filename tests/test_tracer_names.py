@@ -2,12 +2,15 @@
 
 ``benchmarks/tracer.py`` looks its names up with ``getattr`` and no default,
 so a renamed or deleted name would otherwise show only as a crash of a
-traced benchmark run.
+traced benchmark run.  The tests at the end run the tracer in-process on
+one identity case per dimension and on a few CGL steps, and pin what it
+counts: one-axis transforms, evaluator calls and stepper calls.
 """
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
@@ -40,3 +43,52 @@ def test_traced_function_exists(module, attr):
 def test_traced_method_exists(module, cls, attr):
     # the tracer patches the class's own attribute, not an inherited one
     assert attr in vars(getattr(importlib.import_module(module), cls))
+
+
+def traced_metrics(run):
+    """Run under a freshly installed Tracer; its per-layer metrics."""
+    from gwcommute import commutator
+
+    fftn, direct = np.fft.fftn, commutator.commutator_direct
+    probe = tracer.Tracer()
+    probe.install()
+    try:
+        run()
+    finally:
+        probe.uninstall()
+    assert np.fft.fftn is fftn
+    assert commutator.commutator_direct is direct
+    return probe.metrics(wall_s=1.0, span_cost_s=0.0)
+
+
+@pytest.mark.parametrize("dim, points, alpha, transforms", [
+    (1, 64, (2,), 7),      # direct 2 + 2, theorem 2 forward + 1 inverse
+    (2, 32, (2, 1), 15),   # direct 2 x (2 + 2), theorem 5 forward + 2 inverse
+])
+def test_traced_identity_case_counts(dim, points, alpha, transforms):
+    from gwcommute.catalog import realize_checked
+    from gwcommute.commutator import identity_reports
+    from gwcommute.multiindex import MultiIndex
+
+    phi = realize_checked("gauss-wide", dim, points, 16.0)
+    metrics = traced_metrics(lambda: identity_reports(MultiIndex(alpha), 1.0 - 0.5j, phi))
+    assert metrics["fft.calls"] == transforms
+    assert metrics["commutator.commutator_direct.calls"] == 1
+    assert metrics["commutator.evaluate_R_theorem.calls"] == 1
+    assert metrics["commutator.evaluate_R_convolution.calls"] == 1
+    # both flows of the direct commutator go through semigroup.heat_commutator
+    assert metrics["semigroup.apply_fourier.calls"] == 0
+
+
+def test_traced_cgl_step_counts():
+    from gwcommute.cgl import CGLConfig, simulate
+    from gwcommute.grid import GridFunction
+
+    steps = 5
+    x = GridFunction(1, 512, 32.0, np.zeros(512)).axis()
+    u0 = GridFunction(1, 512, 32.0, 0.01 * np.exp(-x**2 / 4.0) / np.sqrt(4 * np.pi))
+    cfg = CGLConfig(nu=1.0, lam=-1.0, p_exponent=4.0, u0=u0, dt=0.05,
+                    horizon=steps * 0.05)
+    metrics = traced_metrics(lambda: simulate(cfg))
+    assert metrics["cgl.advance.calls"] == steps
+    assert metrics["fft.calls"] == 3 * steps + 1
