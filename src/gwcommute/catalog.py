@@ -21,8 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .grid import GridFunction, boundary_mass_fraction, weight_multiply
-from .multiindex import unit
+from .grid import GridFunction, boundary_mass_fraction, coordinates
 
 
 @dataclass(frozen=True)
@@ -68,32 +67,37 @@ class TestFunctionSpec:
         return self._realize_bandlimited(dim, points, half_width)
 
     def _realize_mixture(self, dim: int, points: int, half_width: float) -> GridFunction:
-        template = GridFunction(dim, points, half_width, np.zeros((points,) * dim))
-        mesh = template.meshgrid()
-        total = np.zeros_like(mesh[0], dtype=np.complex128)
+        mesh = coordinates(dim, points, half_width)
+        total = np.zeros((points,) * dim, dtype=np.complex128)
         for comp in self.components:
             center = comp.center_in(dim)
             expo = -sum(np.square(m - c) for m, c in zip(mesh, center)) / (4.0 * comp.sigma)
             pref = (4.0 * math.pi * comp.sigma) ** (-dim / 2.0)
-            total = total + comp.amplitude * pref * np.exp(expo)
-        return template.with_samples(total)
+            total += comp.amplitude * pref * np.exp(expo)
+        return GridFunction(dim, points, half_width, total)
 
     def _realize_bandlimited(self, dim: int, points: int, half_width: float) -> GridFunction:
         rng = np.random.Generator(np.random.PCG64(self.seed))
-        template = GridFunction(dim, points, half_width, np.zeros((points,) * dim))
-        mesh = template.meshgrid()
+        mesh = coordinates(dim, points, half_width)
         modes = sorted(product(range(-self.cutoff, self.cutoff + 1), repeat=dim))
         draws = rng.standard_normal((len(modes), 2))
         scale = 1.0 / math.sqrt(2.0 * len(modes))
-        trig = np.zeros_like(mesh[0], dtype=np.complex128)
+        trig = np.zeros((points,) * dim, dtype=np.complex128)
+        # One buffer for i*phase serves every mode: fresh N^n temporaries per
+        # mode left more than malloc's trim threshold free at the heap top, and
+        # each mode faulted those pages back in.  coeff * np.exp(arg) stays one
+        # expression: numpy's temporary elision picks its operand order, and
+        # the last bits (pinned by the goldens) depend on it.
+        arg = np.empty_like(trig)
         for (coeff_re, coeff_im), k_vec in zip(draws, modes):
             coeff = scale * complex(coeff_re, coeff_im)
             phase = sum(
                 (math.pi * k / half_width) * m for k, m in zip(k_vec, mesh)
             )
-            trig = trig + coeff * np.exp(1j * phase)
+            np.multiply(1j, phase, out=arg)
+            trig += coeff * np.exp(arg)
         envelope = np.exp(-sum(np.square(m) for m in mesh) / (4.0 * self.envelope_sigma))
-        return template.with_samples(envelope * trig)
+        return GridFunction(dim, points, half_width, envelope * trig)
 
 
 def _gauss(id_: str, sigma: float, center=(), amplitude=1.0) -> TestFunctionSpec:
@@ -159,12 +163,11 @@ def mollified_weight(j: int, eps: float, dim: int, points: int,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    e_j = unit(dim, j)
-    template = GridFunction(dim, points, half_width, np.zeros((points,) * dim))
-    mesh = template.meshgrid()
-    radius_sq = sum(np.square(c) for c in mesh)
-    ones = template.with_samples(np.exp(-eps * radius_sq))
-    return weight_multiply(ones, e_j), 2.0
+    if not 1 <= j <= dim:
+        raise ValueError(f"axis j={j} out of range 1..{dim}")
+    mesh = coordinates(dim, points, half_width)
+    envelope = np.exp(-eps * sum(np.square(c) for c in mesh)).astype(np.complex128)
+    return GridFunction(dim, points, half_width, mesh[j - 1] * envelope), 2.0
 
 
 def lipschitz_entries(dim: int, points: int, half_width: float):
@@ -173,12 +176,11 @@ def lipschitz_entries(dim: int, points: int, half_width: float):
     for eps in (0.05, 0.2):
         eta, bound = mollified_weight(1, eps, dim, points, half_width)
         entries.append((f"eta-1-{eps}", eta, bound))
-    template = GridFunction(dim, points, half_width, np.zeros((points,) * dim))
-    mesh = template.meshgrid()
-    entries.append(("sin-x1", template.with_samples(np.sin(mesh[0])), 1.0))
+    shape = (points,) * dim
+    x1 = coordinates(dim, points, half_width)[0]
+    entries.append(("sin-x1", GridFunction(dim, points, half_width,
+                                           np.broadcast_to(np.sin(x1), shape)), 1.0))
     # must stay exactly 1.0: multiplying by one is bitwise exact, which is the
     # only way lhs == 0 == rhs can pass for a zero Lipschitz bound
-    entries.append(
-        ("constant", template.with_samples(np.ones((points,) * dim)), 0.0)
-    )
+    entries.append(("constant", GridFunction(dim, points, half_width, np.ones(shape)), 0.0))
     return entries

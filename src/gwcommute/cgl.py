@@ -103,17 +103,17 @@ class CGLRun:
 
 
 class _Stepper:
-    """Precomputed multipliers for one fixed (nu, dt), stepping a spectrum.
+    """Precomputed multipliers for the (nu, dt) of cfg, stepping a spectrum.
 
     advance() maps the spectrum of u(t) to that of u(t + dt) with three
     transforms and returns u(t + dt) too, which the sup-norm guard checks.
     """
 
-    def __init__(self, cfg: CGLConfig, dt: float):
+    def __init__(self, cfg: CGLConfig):
         self.cfg = cfg
-        self.full = heat_multiplier(cfg.u0, cfg.nu * dt)
-        self.half = heat_multiplier(cfg.u0, cfg.nu * (dt / 2.0))
-        self.kick = dt * self.half
+        self.full = heat_multiplier(cfg.u0, cfg.nu * cfg.dt)
+        self.half = heat_multiplier(cfg.u0, cfg.nu * (cfg.dt / 2.0))
+        self.kick = cfg.dt * self.half
         self.sup_limit = DEFAULT_BLOWUP_FACTOR * lp_norm(cfg.u0, math.inf)
 
     def advance(self, spectrum: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +151,7 @@ def simulate(cfg: CGLConfig) -> CGLRun:
     """
     steps = step_count(cfg.horizon, cfg.dt)
     stride = max(1, round(cfg.snapshot_every / cfg.dt))
-    stepper = _Stepper(cfg, cfg.dt)
+    stepper = _Stepper(cfg)
     spectrum = np.fft.fftn(cfg.u0.samples)
     times = [0.0]
     states = [cfg.u0]

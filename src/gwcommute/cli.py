@@ -143,11 +143,7 @@ def run_kernel_norms(sec: config.KernelNormsSection, seed: int = 0):
             for theta in sec.thetas:
                 rep = kernel_moment_bound_report(beta, theta, r, sec.points, sec.half_width)
                 ok = ok and rep.passed
-                rows.append([
-                    beta.to_str(), format_exponent(r), format_value(theta),
-                    format_value(rep.lhs), format_value(rep.rhs),
-                    format_value(rep.passed),
-                ])
+                rows.append(rep.row(["beta", "r", "theta", "lhs", "rhs", "pass"]))
     return ["beta", "r", "theta", "norm", "bound", "pass"], rows, ok
 
 

@@ -229,15 +229,9 @@ def kernel_moment_bound_report(beta: MultiIndex, theta: float, r: float,
     )
     rhs = 2.0 ** (n / 2.0) * base * sup_gaussian_moment(beta.order, theta)
     params = (
-        ("n", str(n)),
-        ("m", str(beta.order)),
-        ("p", format_exponent(r)),
-        ("q", format_exponent(r)),
+        ("beta", beta.to_str()),
         ("r", format_exponent(r)),
-        ("omega_re", format_value(math.cos(theta))),
-        ("omega_im", format_value(math.sin(theta))),
         ("theta", format_value(theta)),
-        ("testfn", f"kernel:{beta.to_str()}"),
     )
     return EstimateReport(check="kernel-moment-bound", lhs=lhs, rhs=rhs,
                           constant=rhs, params=params)

@@ -3,11 +3,18 @@
 The grid covers the box [-L, L)^n with N points per axis (spacing
 h = 2L/N), row-major sample layout.  GridFunctions are frozen after
 construction; every operation allocates a fresh output.
+
+coordinates() is the one source of grid coordinates: the open mesh, one
+N-point axis per dimension shaped to broadcast against the samples.  Every
+sampled object (weights, test functions, kernels, the boundary band) is
+built from it with the same elementwise operations a full N^n mesh would
+take, so broadcasting changes no bits.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -22,6 +29,21 @@ def check_grid(dim: int, points: int, half_width: float) -> None:
         raise ValueError(f"grid points must be a power of two >= 8, got {points}")
     if not 0.0 < half_width < math.inf:
         raise ValueError(f"grid half-width must be finite and positive, got {half_width!r}")
+
+
+def _axis(points: int, half_width: float) -> np.ndarray:
+    """1-d coordinates x_k = -L + k*h, shared by every axis."""
+    return -half_width + (2.0 * half_width / points) * np.arange(points)
+
+
+def coordinates(dim: int, points: int, half_width: float) -> list[np.ndarray]:
+    """The grid's coordinates as an indexing="ij" open mesh.
+
+    Entry j holds the axis along array axis j and has length 1 on every
+    other axis, so the entries broadcast to the (points,) * dim grid.
+    """
+    check_grid(dim, points, half_width)
+    return list(np.meshgrid(*([_axis(points, half_width)] * dim), indexing="ij", sparse=True))
 
 
 def check_exponent(p: float) -> float:
@@ -60,10 +82,7 @@ class GridFunction:
 
     def axis(self) -> np.ndarray:
         """1-d coordinates x_k = -L + k*h, shared by every axis."""
-        return -self.half_width + self.spacing * np.arange(self.points)
-
-    def meshgrid(self) -> list[np.ndarray]:
-        return list(np.meshgrid(*([self.axis()] * self.dim), indexing="ij"))
+        return _axis(self.points, self.half_width)
 
     def conformable(self, other: "GridFunction") -> bool:
         return (
@@ -98,9 +117,9 @@ class GridFunction:
 
 def from_callable(fn, dim: int, points: int, half_width: float) -> GridFunction:
     """Sample fn(x_1, ..., x_n) (numpy-vectorized) on the grid."""
-    g = GridFunction(dim, points, half_width, np.zeros((points,) * dim))
-    values = fn(*g.meshgrid())
-    return g.with_samples(np.broadcast_to(values, (points,) * dim).astype(np.complex128))
+    values = fn(*coordinates(dim, points, half_width))
+    samples = np.broadcast_to(values, (points,) * dim).astype(np.complex128)
+    return GridFunction(dim, points, half_width, samples)
 
 
 def lp_norm(phi: GridFunction, p: float) -> float:
@@ -121,20 +140,11 @@ def rel_l2_error(result: GridFunction, reference: GridFunction, floor: float = 1
     return lp_norm(result - reference, 2.0) / max(lp_norm(reference, 2.0), floor)
 
 
-def _open_mesh(phi: GridFunction) -> list[np.ndarray]:
-    """The axis coordinates shaped to broadcast against the samples.
-
-    Powers of these are taken on N values per axis, not N^n; broadcasting
-    then yields the same samples the full meshgrid would.
-    """
-    return list(np.meshgrid(*([phi.axis()] * phi.dim), indexing="ij", sparse=True))
-
-
 def monomial_weight(phi: GridFunction, alpha: MultiIndex) -> np.ndarray:
     """x^alpha on the grid of phi, shaped to broadcast against its samples."""
     if alpha.dim != phi.dim:
         raise ValueError(f"weight dimension {alpha.dim} != grid dimension {phi.dim}")
-    mesh = _open_mesh(phi)
+    mesh = coordinates(phi.dim, phi.points, phi.half_width)
     weight = np.ones_like(mesh[0])
     for axis_coord, power in zip(mesh, alpha):
         if power:
@@ -146,7 +156,7 @@ def radial_weight(phi: GridFunction, m: int) -> np.ndarray:
     """|x|^m on the grid of phi, shaped to broadcast against its samples."""
     if m < 0:
         raise ValueError("radial weight power must be >= 0")
-    radius_sq = sum(c**2 for c in _open_mesh(phi))
+    radius_sq = sum(c**2 for c in coordinates(phi.dim, phi.points, phi.half_width))
     return radius_sq ** (m / 2.0)
 
 
@@ -171,10 +181,11 @@ def boundary_mass_fraction(phi: GridFunction) -> float:
     This is the harness guard for periodization: Fourier-based operators are
     only comparable to exact-kernel quadrature when this is tiny.
     """
-    mesh = phi.meshgrid()
-    outer = np.maximum.reduce([np.abs(c) for c in mesh]) >= phi.half_width / 2.0
-    total = np.abs(phi.samples).sum()
+    mags = np.abs(phi.samples)
+    total = mags.sum()
     if total == 0.0:
         return 0.0
-    return float(np.abs(phi.samples)[outer].sum() / total)
+    band = reduce(np.logical_or, [np.abs(c) >= phi.half_width / 2.0
+                                  for c in coordinates(phi.dim, phi.points, phi.half_width)])
+    return float(mags[band].sum() / total)
 

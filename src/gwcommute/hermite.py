@@ -48,15 +48,6 @@ class HermitePoly:
                 clean[beta] = weight
         object.__setattr__(self, "coeffs", clean)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HermitePoly):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.flavor == other.flavor
-            and self.coeffs == other.coeffs
-        )
-
     def __hash__(self):
         return hash((self.dim, self.flavor, frozenset(self.coeffs.items())))
 

@@ -5,8 +5,8 @@ heat_multiplier builds exp(-w |xi|^2), apply_fourier flows one field
 through it, and heat_commutator flows both terms of
 [eta, e^{w*Laplacian}] phi through one multiplier.  The commutators with
 x^a, |x|^m and a sampled eta all call heat_commutator; the CGL stepper
-takes its multipliers from heat_multiplier.  apply_direct is the
-quadrature oracle: the plain sum
+takes its multipliers from heat_multiplier.  convolve_weighted_kernel is
+the quadrature oracle; at beta = 0 it is the plain sum
 
     (e^{w*Laplacian} phi)(x) ~ h^n sum_y G_w(x - y) phi(y)
 
@@ -28,9 +28,9 @@ from functools import reduce
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import GridFunction
-from .hermite import gaussian_kernel_point, gaussian_log_prefactor
-from .multiindex import MultiIndex, zero
+from .grid import GridFunction, coordinates
+from .hermite import gaussian_log_prefactor
+from .multiindex import MultiIndex
 
 # Work guard for the quadrature oracle: it exists for cross-validation, not
 # production.  points <= 512 per axis and at most 2^22 samples total.
@@ -57,11 +57,6 @@ def check_theta(theta: float) -> float:
     return theta
 
 
-def kernel(omega, x) -> complex:
-    """G_w(x) = (4 pi w)^{-n/2} exp(-|x|^2/(4w)), principal branch."""
-    return gaussian_kernel_point(complex(omega), x)
-
-
 def _axis_gaussian(omega: complex, t: np.ndarray) -> np.ndarray:
     """One Cartesian factor of G_w: (4 pi w)^{-1/2} exp(-t^2/(4w)).
 
@@ -72,26 +67,16 @@ def _axis_gaussian(omega: complex, t: np.ndarray) -> np.ndarray:
     return pref * np.exp(-np.square(t) / (4.0 * omega))
 
 
-def kernel_grid(omega, dim: int, points: int, half_width: float) -> GridFunction:
-    """Samples of G_w on the standard grid."""
-    if complex(omega) == 0:
-        raise ValueError("omega must be nonzero")
-    return weighted_kernel_grid(zero(dim), omega, points, half_width)
-
-
 def weighted_kernel_grid(beta: MultiIndex, omega, points: int,
                          half_width: float) -> GridFunction:
-    """Samples of x^beta G_w (kernel of one convolution term)."""
-    w = complex(omega)
-    template = GridFunction(beta.dim, points, half_width,
-                            np.zeros((points,) * beta.dim))
-    x = template.axis()
-    base = _axis_gaussian(w, x)
-    samples = None
-    for b in beta:
-        factor = base * x**b if b else base
-        samples = factor if samples is None else np.multiply.outer(samples, factor)
-    return template.with_samples(samples)
+    """Samples of x^beta G_w (kernel of one convolution term); beta = 0 gives G_w.
+
+    The product of the axis factors x_j^{beta_j} g_w(x_j), taken in axis order.
+    """
+    w = check_omega(omega)
+    factors = [_axis_gaussian(w, x) * x**b if b else _axis_gaussian(w, x)
+               for x, b in zip(coordinates(beta.dim, points, half_width), beta)]
+    return GridFunction(beta.dim, points, half_width, reduce(np.multiply, factors))
 
 
 def frequencies(points: int, half_width: float) -> np.ndarray:
@@ -274,8 +259,3 @@ def convolve_weighted_kernel(beta: MultiIndex, omega, phi: GridFunction) -> Grid
     for axis, b in enumerate(beta):
         out = _toeplitz_pass(out, axis, b, w, phi.spacing)
     return phi.with_samples(phi.cell_volume * out)
-
-
-def apply_direct(phi: GridFunction, omega) -> GridFunction:
-    """Quadrature oracle for e^{w*Laplacian} phi (see convolve_weighted_kernel)."""
-    return convolve_weighted_kernel(zero(phi.dim), omega, phi)

@@ -116,7 +116,7 @@ def test_mollified_weight_is_odd():
 def test_mollified_weight_axis_selection():
     # eta_{j,eps}(x) = x_j e^{-eps |x|^2}; j = 2 picks the second coordinate
     eta2, _ = mollified_weight(2, 0.1, 2, 32, 8.0)
-    xs, ys = eta2.meshgrid()
+    xs, ys = np.meshgrid(*[eta2.axis()] * eta2.dim, indexing="ij")
     expected = ys * np.exp(-0.1 * (xs**2 + ys**2))
     np.testing.assert_allclose(eta2.samples, expected, rtol=1e-13, atol=1e-300)
     with pytest.raises(ValueError):

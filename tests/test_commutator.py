@@ -20,10 +20,10 @@ from gwcommute.commutator import (
     lemma_B2_identity,
 )
 from gwcommute.grid import GridFunction, from_callable, lp_norm, rel_l2_error, weight_multiply
-from gwcommute.hermite import hermite_closed_form
+from gwcommute.hermite import gaussian_kernel_point, hermite_closed_form
 from gwcommute.laurent import LaurentPoly
 from gwcommute.multiindex import MultiIndex, enumerate_up_to, factorial
-from gwcommute.semigroup import convolve_weighted_kernel, frequencies, kernel, xi_squared
+from gwcommute.semigroup import convolve_weighted_kernel, frequencies, xi_squared
 
 SWEEP_OMEGAS = (1.0, 0.25, 1.0 + 0.99j, 2.0 - 1.0j)  # acceptance-03's four omegas
 
@@ -372,7 +372,7 @@ def test_direct_degree_one_gaussian_reference():
     out = commutator_direct(MultiIndex([1]), 1.0, phi)
     xs = phi.axis()
     ref = out.with_samples(
-        (xs / 1.5) * np.array([kernel(1.5, [x]) for x in xs])
+        (xs / 1.5) * np.array([gaussian_kernel_point(1.5, [x]) for x in xs])
     )
     assert rel_l2_error(out, ref) <= 1e-8
 
@@ -396,7 +396,7 @@ def test_convolution_degree_one_gaussian_reference():
     out = evaluate_R_convolution(MultiIndex([1]), w, phi)
     xs = phi.axis()
     ref = out.with_samples(
-        xs * (w / (w + s)) * np.array([kernel(w + s, [x]) for x in xs])
+        xs * (w / (w + s)) * np.array([gaussian_kernel_point(w + s, [x]) for x in xs])
     )
     assert rel_l2_error(out, ref) <= 1e-7
 

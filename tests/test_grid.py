@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gwcommute.grid import (
     GridFunction,
     boundary_mass_fraction,
+    coordinates,
     from_callable,
     lp_norm,
     monomial_weight,
@@ -86,7 +87,7 @@ def test_lp_norm_range_check():
 
 def weight_multiply_meshgrid(phi, alpha):
     """x^alpha * phi with the weight formed on the full meshgrid."""
-    mesh = phi.meshgrid()
+    mesh = np.meshgrid(*[phi.axis()] * phi.dim, indexing="ij")
     weight = np.ones_like(mesh[0])
     for axis_coord, power in zip(mesh, alpha):
         if power:
@@ -96,7 +97,7 @@ def weight_multiply_meshgrid(phi, alpha):
 
 def weight_multiply_radial_meshgrid(phi, m):
     """|x|^m * phi with the radius formed on the full meshgrid."""
-    radius_sq = sum(c**2 for c in phi.meshgrid())
+    radius_sq = sum(c**2 for c in np.meshgrid(*[phi.axis()] * phi.dim, indexing="ij"))
     return phi.with_samples(radius_sq ** (m / 2.0) * phi.samples)
 
 
@@ -118,7 +119,7 @@ def test_broadcast_weights_are_bit_identical_to_meshgrid(dim, points, half_width
 
 def test_weight_arrays_broadcast_and_check_their_index():
     phi = GridFunction(2, 16, 4.0, np.ones((16, 16)))
-    x, y = phi.meshgrid()
+    x, y = np.meshgrid(*[phi.axis()] * phi.dim, indexing="ij")
     assert monomial_weight(phi, MultiIndex((3, 0))).shape == (16, 1)
     weight = np.broadcast_to(monomial_weight(phi, MultiIndex((1, 2))), (16, 16))
     assert np.array_equal(weight, x * y**2)
@@ -149,7 +150,7 @@ def test_weight_multiply_cases():
 def test_weight_multiply_radial_matches_componentwise_in_2d():
     phi = from_callable(lambda x, y: np.exp(-(x**2) - y**2), 2, 32, 4.0)
     squared = weight_multiply_radial(phi, 2)
-    xs, ys = phi.meshgrid()
+    xs, ys = np.meshgrid(*[phi.axis()] * phi.dim, indexing="ij")
     np.testing.assert_allclose(
         squared.samples, (xs**2 + ys**2) * phi.samples, rtol=1e-13, atol=0
     )
@@ -197,6 +198,54 @@ def test_boundary_mass_fraction():
     # half-width 8: the monitored collar is |x| >= 4
     mixed = make_1d(lambda x: np.ones_like(x, dtype=complex), points=64, half_width=8.0)
     assert boundary_mass_fraction(mixed) == pytest.approx(0.5, abs=0.05)
+
+
+
+def boundary_mass_fraction_full_mesh(phi):
+    """The band mask formed on the full meshgrid from the largest |x_j|."""
+    mesh = np.meshgrid(*[phi.axis()] * phi.dim, indexing="ij")
+    outer = np.maximum.reduce([np.abs(c) for c in mesh]) >= phi.half_width / 2.0
+    total = np.abs(phi.samples).sum()
+    if total == 0.0:
+        return 0.0
+    return float(np.abs(phi.samples)[outer].sum() / total)
+
+
+@pytest.mark.parametrize("points, half_width", [(64, 8.0), (32, 19.7)])
+def test_boundary_mass_fraction_is_bit_identical_to_full_mesh(points, half_width):
+    rng = np.random.default_rng(4)
+    shape = (points, points)
+    phi = GridFunction(2, points, half_width,
+                       rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    fraction = boundary_mass_fraction(phi)
+    assert 0.5 < fraction < 1.0  # mass on both sides of the band edge
+    assert fraction == boundary_mass_fraction_full_mesh(phi)
+    # a band that only one axis reaches: a stripe at large |x_1|, small x_2
+    stripe = from_callable(
+        lambda x, y: np.exp(-((np.abs(x) - 0.6 * half_width) ** 2) - y**2) * (1 + 0j),
+        2, points, half_width)
+    fraction = boundary_mass_fraction(stripe)
+    assert 0.0 < fraction < 1.0
+    assert fraction == boundary_mass_fraction_full_mesh(stripe)
+
+
+@pytest.mark.parametrize("dim, points, half_width",
+                         [(1, 16, 4.0), (2, 8, 19.7), (3, 8, 2.0)])
+def test_coordinates_broadcast_to_the_full_meshgrid(dim, points, half_width):
+    axis = GridFunction(1, points, half_width, np.zeros(points)).axis()
+    mesh = coordinates(dim, points, half_width)
+    full = np.meshgrid(*[axis] * dim, indexing="ij")
+    assert len(mesh) == dim
+    for j, (coord, want) in enumerate(zip(mesh, full)):
+        assert coord.shape == tuple(points if k == j else 1 for k in range(dim))
+        assert np.array_equal(np.broadcast_to(coord, (points,) * dim), want)
+
+
+@pytest.mark.parametrize("dim, points, half_width",
+                         [(1, 12, 4.0), (2, 4, 4.0), (0, 8, 4.0), (1, 8, 0.0), (1, 8, math.inf)])
+def test_coordinates_reject_a_bad_grid(dim, points, half_width):
+    with pytest.raises(ValueError):
+        coordinates(dim, points, half_width)
 
 
 @st.composite

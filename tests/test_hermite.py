@@ -130,6 +130,21 @@ def test_h_is_H_at_half_argument(n, m, omega):
         assert abs(h_val - H_val) <= 1e-9 * (1 + abs(h_val))
 
 
+def test_equality_compares_dim_flavor_and_coeffs():
+    # h_1 = x / w and H_1 = 2x / w differ in coefficients; the order-zero
+    # polys of both flavors share coefficients and differ only in flavor,
+    # and 1 in one variable is not 1 in two.
+    h = hermite_closed_form(MultiIndex([1]), "h")
+    assert h == hermite_closed_form(MultiIndex([1]), "h")
+    assert hash(h) == hash(hermite_closed_form(MultiIndex([1]), "h"))
+    assert h != hermite_closed_form(MultiIndex([1]), "H")
+    assert hermite_one(1, "h").coeffs == hermite_one(1, "H").coeffs
+    assert hermite_one(1, "h") != hermite_one(1, "H")
+    assert hermite_one(1, "h") != hermite_one(2, "h")
+    assert h.__eq__(h.coeffs) is NotImplemented
+    assert h != "h"
+
+
 def test_monomial_multiply_and_algebra():
     p = hermite_closed_form(MultiIndex([1]), "h")
     shifted = p.monomial_multiply(MultiIndex([2]))

@@ -7,10 +7,9 @@ from gwcommute import semigroup
 from gwcommute.commutator import commutator_direct, function_commutator
 from gwcommute.estimates import radial_commutator
 from gwcommute.grid import GridFunction, from_callable, lp_norm, rel_l2_error, weight_multiply
-from gwcommute.hermite import gaussian_log_prefactor
-from gwcommute.multiindex import MultiIndex, enumerate_up_to
+from gwcommute.hermite import gaussian_kernel_point, gaussian_log_prefactor
+from gwcommute.multiindex import MultiIndex, enumerate_up_to, zero
 from gwcommute.semigroup import (
-    apply_direct,
     apply_fourier,
     check_omega,
     check_theta,
@@ -19,8 +18,6 @@ from gwcommute.semigroup import (
     frequencies,
     heat_commutator,
     heat_multiplier,
-    kernel,
-    kernel_grid,
     spectral_derivative,
     weighted_kernel_grid,
     xi_squared,
@@ -35,7 +32,7 @@ def apply_direct_naive(phi, omega):
     w = check_omega(omega)
     if phi.points**phi.dim > 4096:
         raise ValueError("naive oracle restricted to <= 4096 samples")
-    mesh = phi.meshgrid()
+    mesh = np.meshgrid(*[phi.axis()] * phi.dim, indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=1)
     values = phi.samples.ravel()
     out = np.empty(values.size, dtype=np.complex128)
@@ -117,10 +114,12 @@ def test_check_theta():
 
 
 def test_kernel_point_values():
-    assert kernel(1.0, [0.0]) == pytest.approx((4 * math.pi) ** -0.5)
-    assert kernel(1.0, [0.0, 0.0]) == pytest.approx((4 * math.pi) ** -1.0)
+    assert gaussian_kernel_point(1.0, [0.0]) == pytest.approx((4 * math.pi) ** -0.5)
+    assert gaussian_kernel_point(1.0, [0.0, 0.0]) == pytest.approx((4 * math.pi) ** -1.0)
     # one axis, unit displacement
-    assert kernel(0.25, [1.0]) == pytest.approx((math.pi) ** -0.5 * math.exp(-1.0))
+    assert gaussian_kernel_point(0.25, [1.0]) == pytest.approx(
+        (math.pi) ** -0.5 * math.exp(-1.0)
+    )
 
 
 def test_kernel_scaling_identity():
@@ -131,28 +130,35 @@ def test_kernel_scaling_identity():
         s = rng.uniform(0.3, 3.0)
         n = int(rng.integers(1, 4))
         x = rng.uniform(-2, 2, size=n)
-        lhs = kernel(s * omega, np.sqrt(s) * x)
-        rhs = s ** (-n / 2) * kernel(omega, x)
+        lhs = gaussian_kernel_point(s * omega, np.sqrt(s) * x)
+        rhs = s ** (-n / 2) * gaussian_kernel_point(omega, x)
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 def test_kernel_grid_matches_pointwise():
-    grid = kernel_grid(0.7 + 0.2j, 2, 16, 4.0)
+    grid = weighted_kernel_grid(zero(2), 0.7 + 0.2j, 16, 4.0)
     xs = grid.axis()
     for i in (0, 5):
         for j in (3, 12):
             assert grid.samples[i, j] == pytest.approx(
-                kernel(0.7 + 0.2j, [xs[i], xs[j]]), rel=1e-13
+                gaussian_kernel_point(0.7 + 0.2j, [xs[i], xs[j]]), rel=1e-13
             )
 
 
 def test_weighted_kernel_grid_is_monomial_times_kernel():
     beta = MultiIndex([2, 1])
     grid = weighted_kernel_grid(beta, 1 + 0.3j, 16, 4.0)
-    plain = kernel_grid(1 + 0.3j, 2, 16, 4.0)
+    plain = weighted_kernel_grid(zero(2), 1 + 0.3j, 16, 4.0)
     np.testing.assert_allclose(
         grid.samples, weight_multiply(plain, beta).samples, rtol=1e-12
     )
+
+
+def test_weighted_kernel_grid_rejects_bad_time():
+    # re w <= 0 would sample a growing or undamped "kernel" without complaint
+    for omega in (0.0, -1.0, 1j, complex("nan")):
+        with pytest.raises(ValueError, match="omega"):
+            weighted_kernel_grid(zero(1), omega, 64, 8.0)
 
 
 def test_frequencies_layout():
@@ -209,7 +215,7 @@ def commutator_reference(weight, omega, phi):
 
 def monomial_samples(phi, alpha):
     """x^alpha on the full meshgrid."""
-    mesh = phi.meshgrid()
+    mesh = np.meshgrid(*[phi.axis()] * phi.dim, indexing="ij")
     weight = np.ones_like(mesh[0])
     for coord, power in zip(mesh, alpha):
         if power:
@@ -227,7 +233,7 @@ def test_commutators_match_two_flow_reference_bit_for_bit(dim, points, alpha, om
     phi = random_grid(dim, points, 8.0)
     eta = random_grid(dim, points, 8.0, seed=5)
     alpha = MultiIndex(alpha)
-    radius_sq = sum(c**2 for c in phi.meshgrid())
+    radius_sq = sum(c**2 for c in np.meshgrid(*[phi.axis()] * phi.dim, indexing="ij"))
     cases = [
         (commutator_direct(alpha, omega, phi), monomial_samples(phi, alpha)),
         (radial_commutator(3, omega, phi), radius_sq**1.5),
@@ -281,7 +287,7 @@ def test_heat_flow_on_gaussian_fourier():
 
 def test_heat_flow_on_gaussian_direct():
     phi = gaussian_grid(0.5)
-    out = apply_direct(phi, 1.0)
+    out = convolve_weighted_kernel(zero(phi.dim), 1.0, phi)
     ref = gaussian_grid(1.5)
     assert rel_l2_error(out, ref) <= 1e-8
 
@@ -293,7 +299,7 @@ def test_heat_flow_complex_time():
     out = apply_fourier(phi, omega)
     ref = gaussian_grid(0.5 + omega)
     assert rel_l2_error(out, ref) <= 1e-10
-    assert rel_l2_error(apply_direct(phi, omega), ref) <= 1e-8
+    assert rel_l2_error(convolve_weighted_kernel(zero(phi.dim), omega, phi), ref) <= 1e-8
 
 
 def test_semigroup_property():
@@ -330,8 +336,8 @@ def test_direct_reproduces_kernel_from_spike():
     center = points // 2
     samples[center] = 1.0 / phi.spacing
     phi = phi.with_samples(samples)
-    out = apply_direct(phi, 0.9)
-    expected = np.array([kernel(0.9, [x]) for x in phi.axis()])
+    out = convolve_weighted_kernel(zero(phi.dim), 0.9, phi)
+    expected = np.array([gaussian_kernel_point(0.9, [x]) for x in phi.axis()])
     np.testing.assert_allclose(out.samples, expected, rtol=1e-13, atol=1e-300)
 
 
@@ -344,7 +350,7 @@ def test_toeplitz_restructuring_matches_naive_loop():
             samples
         )
         for omega in (1.0, 0.7 + 0.5j):
-            fast = apply_direct(phi, omega)
+            fast = convolve_weighted_kernel(zero(phi.dim), omega, phi)
             slow = apply_direct_naive(phi, omega)
             assert rel_l2_error(fast, slow) <= 1e-14
 
@@ -378,7 +384,7 @@ def test_naive_oracle_sample_cap():
 def test_oracle_guard_rejects_large_grids():
     phi = gaussian_grid(0.5, points=1024, half_width=16.0)
     with pytest.raises(ValueError):
-        apply_direct(phi, 1.0)
+        convolve_weighted_kernel(zero(phi.dim), 1.0, phi)
 
 
 def test_convolve_weighted_kernel_requires_positive_re():
@@ -395,7 +401,7 @@ def test_weighted_convolution_first_moment():
     out = convolve_weighted_kernel(MultiIndex([1]), omega, phi)
     xs = phi.axis()
     expected = xs * (omega / (omega + sigma)) * np.array(
-        [kernel(omega + sigma, [x]) for x in xs]
+        [gaussian_kernel_point(omega + sigma, [x]) for x in xs]
     )
     err = np.max(np.abs(out.samples - expected)) / np.max(np.abs(expected))
     assert err <= 1e-9
@@ -481,10 +487,10 @@ def test_smoothing_bound_young():
     phi = gaussian_grid(0.4)
     mixture = 0.7 * phi + 0.3j * gaussian_grid(0.9)
     for omega in (1.0, 0.8 + 0.6j):
-        out = apply_direct(mixture, omega)
+        out = convolve_weighted_kernel(zero(mixture.dim), omega, mixture)
         for p, q in ((1.0, 1.0), (2.0, 1.0), (math.inf, 2.0)):
             inv_r = 1.0 / p + 1.0 - 1.0 / q
             r = math.inf if inv_r == 0 else 1.0 / inv_r
-            kern = kernel_grid(omega, 1, 512, 16.0)
+            kern = weighted_kernel_grid(zero(1), omega, 512, 16.0)
             bound = lp_norm(kern, r) * lp_norm(mixture, q)
             assert lp_norm(out, p) <= bound * (1 + 1e-9), (omega, p, q)
