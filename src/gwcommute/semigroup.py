@@ -19,6 +19,17 @@ commutator.evaluate_R_convolution chains these passes with one more kind,
 _binomial_pass, whose matrix folds a whole binomial sum of weighted
 kernels along one axis: at most 4 passes per alpha in 2-d, 40 over the
 14 alpha with 1 <= |alpha| <= 4, and one per alpha in 1-d.
+
+Every pass lifts its 2N-1 kernel row by an exact power of two 2^k before
+gathering the matrix, runs the GEMM and multiplies the product by 2^-k in
+place.  k is the largest exponent that keeps every partial sum of the GEMM
+below 2^_LIFT_CEILING; it comes from the row's maximum, a bound on the
+binomial polynomial and one max/min over the field (_lift_exponent).
+Scaling by 2^k is exact, so the product is bit for bit the unlifted one
+wherever that one did not underflow.  Where it did (at w = 0.25 the
+kernel tail and the field's tail multiply to below 2^-1022), the lifted
+GEMM keeps those products normal: they are more accurate, and BLAS does
+not slow down on subnormal operands.
 """
 from __future__ import annotations
 
@@ -36,6 +47,8 @@ from .multiindex import MultiIndex
 # production.  points <= 512 per axis and at most 2^22 samples total.
 _ORACLE_MAX_POINTS = 512
 _ORACLE_MAX_SAMPLES = 1 << 22
+# Every lifted pass keeps its GEMM's partial sums below 2^_LIFT_CEILING.
+_LIFT_CEILING = 1000
 
 
 def check_omega(omega, name: str = "omega") -> complex:
@@ -189,14 +202,50 @@ def _lattice_view(row: np.ndarray, n: int) -> np.ndarray:
     return sliding_window_view(row[::-1], n)[::-1]
 
 
-def _matrix_pass(matrix: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
-    """Apply an N x N matrix along one axis of u with one matmul."""
+def _lift_exponent(entry_bound: float, u: np.ndarray, n: int) -> int:
+    """The k of a pass's 2^k lift: the largest that keeps its GEMM in range.
+
+    entry_bound bounds the real and imaginary parts of the unlifted matrix
+    entries.  One max and one min over the float view of u (C-contiguous)
+    bound its parts.  Each output part sums at most 2n products of parts,
+    so with k = _LIFT_CEILING - e_m - max(e_u + bits(2n), 0) every lifted
+    partial sum, and every lifted matrix entry, stays below 2^_LIFT_CEILING.
+    """
+    parts = u.view(np.float64)
+    u_max = max(parts.max(), -parts.min())
+    sum_bits = math.frexp(u_max)[1] + (2 * n).bit_length()
+    return _LIFT_CEILING - math.frexp(entry_bound)[1] - max(sum_bits, 0)
+
+
+def _scale_exactly(values: np.ndarray, k: int) -> None:
+    """values *= 2^k in place on the float view; exact, or rounded once
+    where the result is subnormal.  2.0**k is formed only while normal."""
+    parts = values.view(np.float64)
+    if abs(k) <= 1022:
+        parts *= 2.0**k
+    else:
+        np.ldexp(parts, k, out=parts)
+
+
+def _lifted_row(row: np.ndarray, entry_bound: float, u: np.ndarray, n: int) -> int:
+    """Lift a pass's fresh 2n-1 kernel row in place; returns the exponent."""
+    lift = _lift_exponent(entry_bound, u, n)
+    _scale_exactly(row, lift)
+    return lift
+
+
+def _matrix_pass(matrix: np.ndarray, u: np.ndarray, axis: int, lift: int) -> np.ndarray:
+    """Apply an N x N matrix lifted by 2^lift along one axis of u with one
+    matmul, then undo the lift on the product in place."""
     n = u.shape[axis]
     if axis == 0:
-        return (matrix @ u.reshape(n, -1)).reshape(u.shape)
-    if axis == u.ndim - 1:
-        return u @ matrix.T
-    return (matrix @ u.reshape(math.prod(u.shape[:axis]), n, -1)).reshape(u.shape)
+        out = (matrix @ u.reshape(n, -1)).reshape(u.shape)
+    elif axis == u.ndim - 1:
+        out = u @ matrix.T
+    else:
+        out = (matrix @ u.reshape(math.prod(u.shape[:axis]), n, -1)).reshape(u.shape)
+    _scale_exactly(out, -lift)
+    return out
 
 
 def _toeplitz_pass(u: np.ndarray, axis: int, b: int, omega: complex,
@@ -204,14 +253,16 @@ def _toeplitz_pass(u: np.ndarray, axis: int, b: int, omega: complex,
     """Apply along one axis of u the Toeplitz matrix of t^b g_w(t).
 
     matrix[i, j] = (x_i - x_j)^b g_w(x_i - x_j) with g_w the axis factor of
-    G_w; the matrix is built here and dropped after the one product.
+    G_w; the matrix is gathered from the lifted row here and dropped after
+    the one product.
     """
     n = u.shape[axis]
     offsets = _lattice_offsets(n, spacing)
     row = _axis_gaussian(omega, offsets)
     if b:
         row = row * offsets**b
-    return _matrix_pass(np.ascontiguousarray(_lattice_view(row, n)), u, axis)
+    lift = _lifted_row(row, np.abs(row.view(np.float64)).max(), u, n)
+    return _matrix_pass(np.ascontiguousarray(_lattice_view(row, n)), u, axis, lift)
 
 
 def _binomial_pass(u: np.ndarray, axis: int, a: int, omega: complex,
@@ -225,12 +276,16 @@ def _binomial_pass(u: np.ndarray, axis: int, a: int, omega: complex,
     built by Horner in d, never as g_w(d) (x_i^a - x_k^a), which cancels
     where d is small.  It is built in one N x N buffer from strided views of
     2N-1 rows, so one pass holds no more memory than one _toeplitz_pass.
-    x holds the N axis coordinates x_k.
+    x holds the N axis coordinates x_k.  The polynomial factor is at most
+    (|d| + |x_k|)^a <= (3L)^a, which bounds the entries for the lift.
     """
     n = u.shape[axis]
     # complex offsets, so no in-place product below casts
     offsets = _lattice_offsets(n, spacing).astype(complex)
-    gauss = _lattice_view(_axis_gaussian(omega, offsets), n)
+    row = _axis_gaussian(omega, offsets)
+    poly_bound = (1.5 * n * spacing) ** a
+    lift = _lifted_row(row, np.abs(row.view(np.float64)).max() * poly_bound, u, n)
+    gauss = _lattice_view(row, n)
     d = _lattice_view(offsets, n)
     matrix = np.array(d)
     with np.errstate():  # restores the buffer size on exit
@@ -242,7 +297,7 @@ def _binomial_pass(u: np.ndarray, axis: int, a: int, omega: complex,
             matrix += (math.comb(a, b) * x ** (a - b)).astype(complex)
             matrix *= d
         matrix *= gauss
-    return _matrix_pass(matrix, u, axis)
+    return _matrix_pass(matrix, u, axis, lift)
 
 
 def convolve_weighted_kernel(beta: MultiIndex, omega, phi: GridFunction) -> GridFunction:
