@@ -24,12 +24,17 @@ Every pass lifts its 2N-1 kernel row by an exact power of two 2^k before
 gathering the matrix, runs the GEMM and multiplies the product by 2^-k in
 place.  k is the largest exponent that keeps every partial sum of the GEMM
 below 2^_LIFT_CEILING; it comes from the row's maximum, a bound on the
-binomial polynomial and one max/min over the field (_lift_exponent).
+binomial polynomial and one max/min over the field (_lift_row).
 Scaling by 2^k is exact, so the product is bit for bit the unlifted one
 wherever that one did not underflow.  Where it did (at w = 0.25 the
 kernel tail and the field's tail multiply to below 2^-1022), the lifted
 GEMM keeps those products normal: they are more accurate, and BLAS does
 not slow down on subnormal operands.
+
+For real w the axis factor g_w is real: the rows hold the real parts of
+the complex values, bit for bit, and the matrices are float64.  A real
+matrix applies to the complex field as one dgemm on its float view, on
+every axis (_matrix_pass); complex w keeps complex matrices and zgemm.
 """
 from __future__ import annotations
 
@@ -202,19 +207,30 @@ def _lattice_view(row: np.ndarray, n: int) -> np.ndarray:
     return sliding_window_view(row[::-1], n)[::-1]
 
 
-def _lift_exponent(entry_bound: float, u: np.ndarray, n: int) -> int:
-    """The k of a pass's 2^k lift: the largest that keeps its GEMM in range.
+def _kernel_row(omega: complex, offsets: np.ndarray) -> np.ndarray:
+    """g_w on the lattice offsets as a fresh row: float64 when w is real
+    (the real parts of the complex values, bit for bit), else complex."""
+    row = _axis_gaussian(omega, offsets)
+    return np.ascontiguousarray(row.real) if omega.imag == 0 else row
 
-    entry_bound bounds the real and imaginary parts of the unlifted matrix
-    entries.  One max and one min over the float view of u (C-contiguous)
-    bound its parts.  Each output part sums at most 2n products of parts,
-    so with k = _LIFT_CEILING - e_m - max(e_u + bits(2n), 0) every lifted
-    partial sum, and every lifted matrix entry, stays below 2^_LIFT_CEILING.
+
+def _lift_row(row: np.ndarray, poly_bound: float, u: np.ndarray, n: int) -> int:
+    """Lift a pass's fresh 2n-1 kernel row by 2^k in place; returns k.
+
+    The pass's unlifted matrix entries have real and imaginary parts at
+    most e = max|row part| * poly_bound, and one max and one min over the
+    float view of u (C-contiguous) bound the field's parts by f.  Each
+    output part sums at most 2n products of parts.  With x < 2^{e_x},
+    k = _LIFT_CEILING - e_e - max(e_f + bits(2n), 0) keeps every lifted
+    partial sum and every lifted entry below 2^_LIFT_CEILING.
     """
     parts = u.view(np.float64)
-    u_max = max(parts.max(), -parts.min())
-    sum_bits = math.frexp(u_max)[1] + (2 * n).bit_length()
-    return _LIFT_CEILING - math.frexp(entry_bound)[1] - max(sum_bits, 0)
+    field_max = max(parts.max(), -parts.min())
+    entry_max = np.abs(row.view(np.float64)).max() * poly_bound
+    sum_bits = math.frexp(field_max)[1] + (2 * n).bit_length()
+    lift = _LIFT_CEILING - math.frexp(entry_max)[1] - max(sum_bits, 0)
+    _scale_exactly(row, lift)
+    return lift
 
 
 def _scale_exactly(values: np.ndarray, k: int) -> None:
@@ -227,23 +243,31 @@ def _scale_exactly(values: np.ndarray, k: int) -> None:
         np.ldexp(parts, k, out=parts)
 
 
-def _lifted_row(row: np.ndarray, entry_bound: float, u: np.ndarray, n: int) -> int:
-    """Lift a pass's fresh 2n-1 kernel row in place; returns the exponent."""
-    lift = _lift_exponent(entry_bound, u, n)
-    _scale_exactly(row, lift)
-    return lift
-
-
 def _matrix_pass(matrix: np.ndarray, u: np.ndarray, axis: int, lift: int) -> np.ndarray:
     """Apply an N x N matrix lifted by 2^lift along one axis of u with one
-    matmul, then undo the lift on the product in place."""
+    matmul, then undo the lift on the product in place.
+
+    A real matrix acts alike on the real and imaginary parts of the complex
+    field u, so it runs as one dgemm on a float view, where the parts
+    interleave along the last axis.  That needs the pass axis ahead of the
+    last axis: a last-axis pass runs on a copy of u with that axis swapped
+    to the front, and the product is swapped back into the copy's buffer.
+    """
     n = u.shape[axis]
-    if axis == 0:
-        out = (matrix @ u.reshape(n, -1)).reshape(u.shape)
-    elif axis == u.ndim - 1:
-        out = u @ matrix.T
+    last = 0 < axis == u.ndim - 1
+    if matrix.dtype == np.complex128:
+        if last:
+            out = u @ matrix.T
+        else:
+            out = (matrix @ u.reshape(math.prod(u.shape[:axis]), n, -1)).reshape(u.shape)
+    elif last:
+        swapped = np.ascontiguousarray(np.swapaxes(u, 0, axis))
+        product = (matrix @ swapped.reshape(n, -1).view(np.float64)).view(np.complex128)
+        out = swapped.reshape(u.shape)
+        np.copyto(out, np.swapaxes(product.reshape(swapped.shape), 0, axis))
     else:
-        out = (matrix @ u.reshape(math.prod(u.shape[:axis]), n, -1)).reshape(u.shape)
+        parts = u.reshape(math.prod(u.shape[:axis]), n, -1).view(np.float64)
+        out = (matrix @ parts).view(np.complex128).reshape(u.shape)
     _scale_exactly(out, -lift)
     return out
 
@@ -253,15 +277,15 @@ def _toeplitz_pass(u: np.ndarray, axis: int, b: int, omega: complex,
     """Apply along one axis of u the Toeplitz matrix of t^b g_w(t).
 
     matrix[i, j] = (x_i - x_j)^b g_w(x_i - x_j) with g_w the axis factor of
-    G_w; the matrix is gathered from the lifted row here and dropped after
-    the one product.
+    G_w, real for real w; the matrix is gathered from the lifted row here
+    and dropped after the one product.
     """
     n = u.shape[axis]
     offsets = _lattice_offsets(n, spacing)
-    row = _axis_gaussian(omega, offsets)
+    row = _kernel_row(omega, offsets)
     if b:
         row = row * offsets**b
-    lift = _lifted_row(row, np.abs(row.view(np.float64)).max(), u, n)
+    lift = _lift_row(row, 1.0, u, n)
     return _matrix_pass(np.ascontiguousarray(_lattice_view(row, n)), u, axis, lift)
 
 
@@ -277,14 +301,15 @@ def _binomial_pass(u: np.ndarray, axis: int, a: int, omega: complex,
     where d is small.  It is built in one N x N buffer from strided views of
     2N-1 rows, so one pass holds no more memory than one _toeplitz_pass.
     x holds the N axis coordinates x_k.  The polynomial factor is at most
-    (|d| + |x_k|)^a <= (3L)^a, which bounds the entries for the lift.
+    (|d| + |x_k|)^a <= (3L)^a, which bounds the entries for the lift.  The
+    matrix takes the row's dtype: real for real w.
     """
     n = u.shape[axis]
-    # complex offsets, so no in-place product below casts
-    offsets = _lattice_offsets(n, spacing).astype(complex)
-    row = _axis_gaussian(omega, offsets)
-    poly_bound = (1.5 * n * spacing) ** a
-    lift = _lifted_row(row, np.abs(row.view(np.float64)).max() * poly_bound, u, n)
+    offsets = _lattice_offsets(n, spacing)
+    row = _kernel_row(omega, offsets)
+    lift = _lift_row(row, (1.5 * n * spacing) ** a, u, n)
+    # offsets in the row's dtype, so no in-place product below casts
+    offsets = offsets.astype(row.dtype, copy=False)
     gauss = _lattice_view(row, n)
     d = _lattice_view(offsets, n)
     matrix = np.array(d)
@@ -294,7 +319,7 @@ def _binomial_pass(u: np.ndarray, axis: int, a: int, omega: complex,
         # one row's worth keeps it small beside the matrix.
         np.setbufsize(n)
         for b in range(a - 1, 0, -1):
-            matrix += (math.comb(a, b) * x ** (a - b)).astype(complex)
+            matrix += (math.comb(a, b) * x ** (a - b)).astype(row.dtype, copy=False)
             matrix *= d
         matrix *= gauss
     return _matrix_pass(matrix, u, axis, lift)

@@ -336,11 +336,14 @@ def test_convolution_toeplitz_pass_count(alpha, passes, pair_passes, monkeypatch
     assert len(calls) == pair_passes
 
 
+@pytest.mark.parametrize("omega", [1.0 + 0.99j, 0.25])
 @pytest.mark.parametrize("alpha, points", [((4,), 512), ((2, 2), 256)])
-def test_convolution_peak_memory_within_pair_sum(alpha, points):
+def test_convolution_peak_memory_within_pair_sum(alpha, points, omega):
     # Each Toeplitz matrix is built for one pass and dropped: 4 MiB at
     # N = 512, as much as a 2-d field at N = 256.  Keeping them for a whole
     # call would raise the sweep's peak RSS; this pins that it does not.
+    # A real w takes the real-matrix path, whose last-axis pass copies the
+    # field into a transposed layout; it is pinned as well.
     alpha = MultiIndex(alpha)
     phi = random_grid(alpha.dim, points)
 
@@ -351,7 +354,7 @@ def test_convolution_peak_memory_within_pair_sum(alpha, points):
         try:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            evaluator(alpha, 1.0 + 0.99j, phi)
+            evaluator(alpha, omega, phi)
             return tracemalloc.get_traced_memory()[1] - start
         finally:
             if not tracing:

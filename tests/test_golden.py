@@ -31,7 +31,7 @@ from gwcommute.cli import main
 
 SUITE_ARTIFACTS = {
     "identity.csv":
-        "4da18592b46f96b7fde9f5b339e8151f82259f920899fa6293e6ced336bd4c4d",
+        "cac6238ff7cf37c6735021b453564da37ddac2e6c5ab0b896243b4d1d3f64b2e",
     "estimate.csv":
         "10356356edf5a4b9a6b5a3fdfbf1eb791c0bb16e48e2397c007743c74081d86e",
     "constants.csv":

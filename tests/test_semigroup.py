@@ -1,12 +1,14 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from gwcommute import semigroup
+from gwcommute.catalog import realize_checked
 from gwcommute.commutator import commutator_direct, function_commutator
 from gwcommute.estimates import radial_commutator
-from gwcommute.grid import GridFunction, from_callable, lp_norm, rel_l2_error, weight_multiply
+from gwcommute.grid import GridFunction, coordinates, from_callable, lp_norm, rel_l2_error, weight_multiply
 from gwcommute.hermite import gaussian_kernel_point, gaussian_log_prefactor
 from gwcommute.multiindex import MultiIndex, enumerate_up_to, zero
 from gwcommute.semigroup import (
@@ -52,18 +54,51 @@ def apply_fourier_uncached(phi, omega):
     return phi.with_samples(np.fft.ifftn(spectrum))
 
 
+def dense_axis_matrix(b, omega, x):
+    """t^b g_w(t) on the N x N coordinate differences t = x_i - x_j."""
+    w = complex(omega)
+    diff = x[:, None] - x[None, :]
+    base = np.exp(gaussian_log_prefactor(w, 1)) * np.exp(-np.square(diff) / (4.0 * w))
+    return base * diff**b if b else base
+
+
 def convolve_weighted_kernel_dense(beta, omega, phi):
     """The quadrature oracle with each Toeplitz matrix evaluated on the N x N
     coordinate differences x_i - x_j, not gathered from 2N-1 offsets."""
-    w = complex(omega)
-    x = phi.axis()
-    diff = x[:, None] - x[None, :]
-    base = np.exp(gaussian_log_prefactor(w, 1)) * np.exp(-np.square(diff) / (4.0 * w))
     out = phi.samples
     for axis, b in enumerate(beta):
-        matrix = base * diff**b if b else base
+        matrix = dense_axis_matrix(b, omega, phi.axis())
         out = np.moveaxis(np.tensordot(matrix, out, axes=([1], [axis])), 0, axis)
     return phi.with_samples(phi.cell_volume * out)
+
+
+def unlifted_toeplitz_pass(u, axis, b, omega, spacing):
+    """semigroup._toeplitz_pass as it ran before the 2^k lift: the same
+    row and matrix, applied by the same matmul, with no scaling."""
+    n = u.shape[axis]
+    offsets = semigroup._lattice_offsets(n, spacing)
+    row = semigroup._kernel_row(omega, offsets)
+    if b:
+        row = row * offsets**b
+    matrix = np.ascontiguousarray(semigroup._lattice_view(row, n))
+    return semigroup._matrix_pass(matrix, u, axis, 0)
+
+
+def unlifted_binomial_pass(u, axis, a, omega, x, spacing):
+    """semigroup._binomial_pass as it ran before the 2^k lift: the same
+    Horner matrix, applied by the same matmul, with no scaling."""
+    n = u.shape[axis]
+    offsets = semigroup._lattice_offsets(n, spacing)
+    row = semigroup._kernel_row(omega, offsets)
+    offsets = offsets.astype(row.dtype)
+    gauss = semigroup._lattice_view(row, n)
+    d = semigroup._lattice_view(offsets, n)
+    matrix = np.array(d)
+    for b in range(a - 1, 0, -1):
+        matrix += (math.comb(a, b) * x ** (a - b)).astype(row.dtype)
+        matrix *= d
+    matrix *= gauss
+    return semigroup._matrix_pass(matrix, u, axis, 0)
 
 
 def random_grid(dim, points, half_width, seed=11):
@@ -355,15 +390,126 @@ def test_toeplitz_restructuring_matches_naive_loop():
             assert rel_l2_error(fast, slow) <= 1e-14
 
 
+def record_matrices(monkeypatch):
+    """Record every oracle pass's matrix with its 2^k lift undone."""
+    seen = []
+    original = semigroup._matrix_pass
+
+    def recorded(matrix, u, axis, lift):
+        seen.append(np.ldexp(matrix.view(np.float64), -lift).view(matrix.dtype))
+        return original(matrix, u, axis, lift)
+
+    monkeypatch.setattr(semigroup, "_matrix_pass", recorded)
+    return seen
+
+
 @pytest.mark.parametrize("dim, points", [(1, 512), (2, 64), (3, 16)])
-def test_toeplitz_from_offsets_is_bit_identical_on_dyadic_grids(dim, points):
+def test_toeplitz_from_offsets_is_bit_identical_on_dyadic_grids(dim, points, monkeypatch):
+    # On a dyadic box the 2N-1 lattice offsets equal the differences
+    # x_i - x_j exactly, so each matrix gathered from them is the one built
+    # on the N x N differences, bit for bit; for real w it is that matrix's
+    # real part, stored as float64.  The products are not bit-identical: a
+    # real matrix runs as a dgemm on the field's float view, the dense
+    # reference as tensordot's zgemm, which sums in another order.  Their
+    # largest difference here is 5.5e-16 relative L2 (1-d, w = 1); 2e-15
+    # leaves a factor of 3.6, and a wrong matrix moves the result by order
+    # one.
     phi = random_grid(dim, points, 16.0)
+    matrices = record_matrices(monkeypatch)
     betas = [b for b in enumerate_up_to(dim, 3) if dim == 1 or b.order in (0, 3)]
     for beta in betas:
         for omega in (1.0, 0.7 + 0.5j):
+            matrices.clear()
             got = convolve_weighted_kernel(beta, omega, phi)
+            assert len(matrices) == dim
+            for matrix, b in zip(matrices, beta):
+                assert matrix.dtype == (np.complex128 if complex(omega).imag else np.float64)
+                assert np.array_equal(matrix, dense_axis_matrix(b, omega, phi.axis())), (beta, omega)
             ref = convolve_weighted_kernel_dense(beta, omega, phi)
-            assert np.array_equal(got.samples, ref.samples), (beta, omega)
+            assert rel_l2_error(got, ref) <= 2e-15, (beta, omega)
+
+
+LIFT_GRIDS = [(1, 512), (2, 64), (3, 16)]
+
+
+def lifted_and_unlifted(u, phi, omega):
+    """Every pass kind on every axis of u: (label, lifted, unlifted)."""
+    x, h = phi.axis(), phi.spacing
+    for axis in range(u.ndim):
+        for b in (0, 3):
+            yield ((axis, "T", b), semigroup._toeplitz_pass(u, axis, b, omega, h),
+                   unlifted_toeplitz_pass(u, axis, b, omega, h))
+        for a in (1, 4):
+            yield ((axis, "M", a), semigroup._binomial_pass(u, axis, a, omega, x, h),
+                   unlifted_binomial_pass(u, axis, a, omega, x, h))
+
+
+@pytest.mark.parametrize("dim, points", LIFT_GRIDS)
+def test_lifted_pass_is_bit_identical_on_normal_inputs(dim, points):
+    # Scaling by 2^k is exact, so with no underflow in the unlifted GEMM the
+    # lifted pass gives its bits.
+    phi = random_grid(dim, points, 16.0)
+    for omega in (1.0 + 0.0j, 1.0 + 0.99j, 2.0 - 1.0j):
+        for label, lifted, unlifted in lifted_and_unlifted(phi.samples, phi, omega):
+            assert np.array_equal(lifted, unlifted), (label, omega)
+
+
+@pytest.mark.parametrize("dim, points", LIFT_GRIDS)
+def test_lifted_pass_is_bit_identical_where_unlifted_underflows(dim, points):
+    # At w = 0.25 the kernel row exp(-d^2) reaches below 2^-1022 inside the
+    # box, and gauss-wide's tails times it fall below that too.  Those
+    # products are subnormal in the unlifted GEMM but add nothing at any
+    # output's last bit, so the lifted pass still gives the unlifted bits.
+    phi = realize_checked("gauss-wide", dim, points, 16.0)
+    omega = 0.25 + 0.0j
+    row = semigroup._kernel_row(omega, semigroup._lattice_offsets(points, phi.spacing))
+    smallest = math.log2(row[row > 0].min()) + math.log2(np.abs(phi.samples).min())
+    assert smallest < -1022
+    for label, lifted, unlifted in lifted_and_unlifted(phi.samples, phi, omega):
+        assert np.array_equal(lifted, unlifted), label
+
+
+def central_field(dim, points, half_width):
+    """A random field on |x_j| < L/2 and exact zeros outside, so the
+    passes' outputs near the box's edge are sums of kernel tails."""
+    phi = random_grid(dim, points, half_width)
+    inside = [np.abs(x) < half_width / 2 for x in coordinates(dim, points, half_width)]
+    return phi.with_samples(phi.samples * reduce(np.logical_and, inside))
+
+
+@pytest.mark.parametrize("dim, points", LIFT_GRIDS)
+@pytest.mark.parametrize("target", [1e-300, 1e300])
+def test_lifted_pass_scales_with_extreme_fields(dim, points, target):
+    # A field scaled by 2^s to a maximum near 1e-300 or 1e300 gives 2^s
+    # times the pass of the unscaled field, finite and bit for bit: the lift
+    # moves with the field, so the GEMM sees the same normal products and
+    # sums and only the final 2^-k rounds, once.  Unlifted, the kernel-tail
+    # products of the 1e-300 field are subnormal and each rounds on its
+    # own, which moves the outputs near the edge.
+    phi = central_field(dim, points, 16.0)
+    parts = phi.samples.view(np.float64)
+    s = round(math.log2(target / np.abs(parts).max()))
+    scaled = np.ldexp(parts, s).view(np.complex128)
+    x, h = phi.axis(), phi.spacing
+    for omega in (0.25 + 0.0j, 1.0 + 0.99j):
+        for axis in range(dim):
+            for apply in (lambda u: semigroup._toeplitz_pass(u, axis, 3, omega, h),
+                          lambda u: semigroup._binomial_pass(u, axis, 4, omega, x, h)):
+                got = apply(scaled)
+                assert np.all(np.isfinite(got)), (axis, omega)
+                want = np.ldexp(apply(phi.samples).view(np.float64), s)
+                assert np.array_equal(got.view(np.float64), want), (axis, omega)
+
+
+@pytest.mark.parametrize("k", [-1100, -1023, -1022, -990, 0, 990, 1022, 1023, 1100])
+def test_scale_exactly_matches_ldexp(k):
+    # Beyond |k| = 1022, 2.0**k is subnormal or overflows, so the scaling
+    # switches to ldexp; both round once, as ldexp does.
+    values = np.array([1.0, -3.5e-300, 7.25e300, 2.0**-1060, -0.0]) * (1 + 1j)
+    with np.errstate(over="ignore"):
+        want = np.ldexp(values.view(np.float64), k)
+        semigroup._scale_exactly(values, k)
+    assert np.array_equal(values.view(np.float64), want)
 
 
 @pytest.mark.parametrize("dim, points, half_width", [(1, 64, 20.3), (2, 32, 19.7)])
