@@ -503,8 +503,9 @@ def test_lifted_pass_scales_with_extreme_fields(dim, points, target):
 
 @pytest.mark.parametrize("k", [-1100, -1023, -1022, -990, 0, 990, 1022, 1023, 1100])
 def test_scale_exactly_matches_ldexp(k):
-    # Beyond |k| = 1022, 2.0**k is subnormal or overflows, so the scaling
-    # switches to ldexp; both round once, as ldexp does.
+    # Past |k| = 1022 the scaling never forms 2.0**k (subnormal below -1022,
+    # infinite above 1023) and calls ldexp instead; either way the result
+    # is rounded once, as ldexp rounds it.
     values = np.array([1.0, -3.5e-300, 7.25e300, 2.0**-1060, -0.0]) * (1 + 1j)
     with np.errstate(over="ignore"):
         want = np.ldexp(values.view(np.float64), k)
