@@ -148,6 +148,14 @@ SUBCOMMANDS = {
         {"estimate.csv":
          "b96f4c94d393e3eba4bdeaf0a089d86778dd5d0a9748043630d26571693c8e1d"},
     ),
+    # Real w in 3-d: the oracle's real-matrix (dgemm) passes on every axis.
+    "verify-identity-3d-real": (
+        ["verify-identity", "--alpha", "1.2.1", "--omega", "0.25,0",
+         "--testfn", "mixture", "--grid", "64,16", "--out", "identity3d.csv"],
+        0, EMPTY,
+        {"identity3d.csv":
+         "ea898496df8cf1a6dc52b7b6a55a05fe6df6452d621b611b0dba3eef42bad135"},
+    ),
 }
 
 
