@@ -206,8 +206,9 @@ def evaluate_R_convolution(alpha: MultiIndex, omega, phi: GridFunction) -> GridF
         S' = T_0 (x_j^a S) + M_a (S + Z)
         Z' = T_0 (x_j^a Z)
 
-    and the result is h^n S.  Z' is formed only while a later axis has
-    a_k > 0, the only place it is read.  The b = 0 term is never formed, so
+    and the result is h^n S.  Each pass moves its axis last, so axis j
+    leads when its turn comes and x_j is one coordinate column.  Z' is
+    formed only while a later axis has a_k > 0, the only place it is read.  The b = 0 term is never formed, so
     nothing cancels.  That takes at most 3n - 2 passes, against n per
     (b, g) pair: 4 for alpha = (2, 2) instead of 16, and one in 1-d.
     """
@@ -218,21 +219,21 @@ def evaluate_R_convolution(alpha: MultiIndex, omega, phi: GridFunction) -> GridF
         raise ValueError(f"weight dim {alpha.dim} != grid dim {phi.dim}")
     check_oracle_grid(phi.dim, phi.points)
     x, h = phi.axis(), phi.spacing
+    x_0 = x.reshape((-1,) + (1,) * (phi.dim - 1))
     zeros, some = phi.samples, None
-    for axis, a in enumerate(alpha):
-        x_j = x.reshape((-1,) + (1,) * (phi.dim - 1 - axis))
+    for j, a in enumerate(alpha):
         either = (zeros if some is None else some + zeros) if a else None
         # Z is read only for Z' and S only for T_0 (x^a S) from here on;
         # dropping each when done keeps fewer fields alive at once
         # (test_convolution_peak_memory_within_pair_sum pins the peak).
-        zeros = (_toeplitz_pass(x_j**a * zeros if a else zeros, axis, 0, w, h)
-                 if any(alpha[axis + 1:]) else None)
+        zeros = (_toeplitz_pass(x_0**a * zeros if a else zeros, 0, w, h)
+                 if any(alpha[j + 1:]) else None)
         if some is not None:
             if a:
-                some *= x_j**a  # S is always a product of this call
-            some = _toeplitz_pass(some, axis, 0, w, h)
+                some *= x_0**a  # S is always a product of this call
+            some = _toeplitz_pass(some, 0, w, h)
         if a:
-            part = _binomial_pass(either, axis, a, w, x, h)
+            part = _binomial_pass(either, a, w, x, h)
             either = None
             if some is None:
                 some = part

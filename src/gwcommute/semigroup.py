@@ -15,10 +15,11 @@ factorizes per axis, so the oracle is a sequence of Toeplitz passes: one
 N x N matrix per axis, gathered from its 2N-1 distinct entries, built just
 before its pass and applied with one matmul.  That reorders no terms
 across axes and keeps the cost at O(n N^{n+1}) instead of O(N^{2n}).
-commutator.evaluate_R_convolution chains these passes with one more kind,
-_binomial_pass, whose matrix folds a whole binomial sum of weighted
-kernels along one axis: at most 4 passes per alpha in 2-d, 40 over the
-14 alpha with 1 <= |alpha| <= 4, and one per alpha in 1-d.
+Every pass contracts its field's leading axis and returns the product
+with that axis moved last, so n passes bring an n-d field back to its own
+layout.  commutator.evaluate_R_convolution chains these passes with one
+more kind, _binomial_pass, whose matrix folds a whole binomial sum of
+weighted kernels along one axis.
 
 Every pass lifts its 2N-1 kernel row by an exact power of two 2^k before
 gathering the matrix, runs the GEMM and multiplies the product by 2^-k in
@@ -33,8 +34,8 @@ not slow down on subnormal operands.
 
 For real w the axis factor g_w is real: the rows hold the real parts of
 the complex values, bit for bit, and the matrices are float64.  A real
-matrix applies to the complex field as one dgemm on its float view, on
-every axis (_matrix_pass); complex w keeps complex matrices and zgemm.
+matrix applies to the complex field as one dgemm on its float view
+(_matrix_pass); complex w keeps complex matrices and zgemm.
 """
 from __future__ import annotations
 
@@ -214,13 +215,13 @@ def _kernel_row(omega: complex, offsets: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(row.real) if omega.imag == 0 else row
 
 
-def _lift_row(row: np.ndarray, poly_bound: float, u: np.ndarray, n: int) -> int:
+def _lift_row(row: np.ndarray, poly_bound: float, u: np.ndarray) -> int:
     """Lift a pass's fresh 2n-1 kernel row by 2^k in place; returns k.
 
-    The pass's unlifted matrix entries have real and imaginary parts at
-    most E = max|row part| * poly_bound, and one max and one min over the
-    float view of u (C-contiguous) bound the field's parts by F.  Each
-    output part sums at most 2n products of parts.  With E < 2^{e_E} and
+    n = u.shape[0].  The pass's unlifted matrix entries have real and
+    imaginary parts at most E = max|row part| * poly_bound, and one max and
+    one min over the float view of u (C-contiguous) bound the field's parts
+    by F.  Each output part sums at most 2n products of parts.  With E < 2^{e_E} and
     F < 2^{e_F} (math.frexp), k = _LIFT_CEILING - e_E - max(e_F + bits(2n), 0)
     keeps every lifted partial sum and every lifted entry below
     2^_LIFT_CEILING.
@@ -228,7 +229,7 @@ def _lift_row(row: np.ndarray, poly_bound: float, u: np.ndarray, n: int) -> int:
     parts = u.view(np.float64)
     field_max = max(parts.max(), -parts.min())
     entry_max = np.abs(row.view(np.float64)).max() * poly_bound
-    sum_bits = math.frexp(field_max)[1] + (2 * n).bit_length()
+    sum_bits = math.frexp(field_max)[1] + (2 * u.shape[0]).bit_length()
     lift = _LIFT_CEILING - math.frexp(entry_max)[1] - max(sum_bits, 0)
     _scale_exactly(row, lift)
     return lift
@@ -244,55 +245,42 @@ def _scale_exactly(values: np.ndarray, k: int) -> None:
         np.ldexp(parts, k, out=parts)
 
 
-def _matrix_pass(matrix: np.ndarray, u: np.ndarray, axis: int, lift: int) -> np.ndarray:
-    """Apply an N x N matrix lifted by 2^lift along one axis of u with one
-    matmul, then undo the lift on the product in place.
+def _matrix_pass(matrix: np.ndarray, u: np.ndarray, lift: int) -> np.ndarray:
+    """Contract u's leading axis with an N x N matrix lifted by 2^lift and
+    return the product, lift undone, C-contiguous with that axis moved last.
 
-    A real matrix acts alike on the real and imaginary parts of the complex
-    field u, so it runs as one dgemm on a float view, where the parts
-    interleave along the last axis.  That needs the pass axis ahead of the
-    last axis: a last-axis pass runs on a copy of u with that axis swapped
-    to the front, and the product is swapped back into the copy's buffer.
+    A complex matrix writes the moved layout directly (one zgemm); a real
+    one runs as one dgemm on the float view of u, where the real and
+    imaginary parts interleave, and its product is copied transposed.
     """
-    n = u.shape[axis]
-    last = 0 < axis == u.ndim - 1
+    flat = u.reshape(u.shape[0], -1)
     if matrix.dtype == np.complex128:
-        if last:
-            out = u @ matrix.T
-        else:
-            out = (matrix @ u.reshape(math.prod(u.shape[:axis]), n, -1)).reshape(u.shape)
-    elif last:
-        swapped = np.ascontiguousarray(np.swapaxes(u, 0, axis))
-        product = (matrix @ swapped.reshape(n, -1).view(np.float64)).view(np.complex128)
-        out = swapped.reshape(u.shape)
-        np.copyto(out, np.swapaxes(product.reshape(swapped.shape), 0, axis))
+        out = flat.T @ matrix.T
     else:
-        parts = u.reshape(math.prod(u.shape[:axis]), n, -1).view(np.float64)
-        out = (matrix @ parts).view(np.complex128).reshape(u.shape)
+        out = (matrix @ flat.view(np.float64)).view(np.complex128).T.copy()
     _scale_exactly(out, -lift)
-    return out
+    return out.reshape(u.shape[1:] + u.shape[:1])
 
 
-def _toeplitz_pass(u: np.ndarray, axis: int, b: int, omega: complex,
-                   spacing: float) -> np.ndarray:
-    """Apply along one axis of u the Toeplitz matrix of t^b g_w(t).
+def _toeplitz_pass(u: np.ndarray, b: int, omega: complex, spacing: float) -> np.ndarray:
+    """Apply along u's leading axis the Toeplitz matrix of t^b g_w(t).
 
     matrix[i, j] = (x_i - x_j)^b g_w(x_i - x_j) with g_w the axis factor of
     G_w, real for real w; the matrix is gathered from the lifted row here
     and dropped after the one product.
     """
-    n = u.shape[axis]
+    n = u.shape[0]
     offsets = _lattice_offsets(n, spacing)
     row = _kernel_row(omega, offsets)
     if b:
         row = row * offsets**b
-    lift = _lift_row(row, 1.0, u, n)
-    return _matrix_pass(np.ascontiguousarray(_lattice_view(row, n)), u, axis, lift)
+    lift = _lift_row(row, 1.0, u)
+    return _matrix_pass(np.ascontiguousarray(_lattice_view(row, n)), u, lift)
 
 
-def _binomial_pass(u: np.ndarray, axis: int, a: int, omega: complex,
-                   x: np.ndarray, spacing: float) -> np.ndarray:
-    """sum_{b=1..a} C(a, b) T_b (x^{a-b} u) along one axis, as one pass.
+def _binomial_pass(u: np.ndarray, a: int, omega: complex, x: np.ndarray,
+                   spacing: float) -> np.ndarray:
+    """sum_{b=1..a} C(a, b) T_b (x^{a-b} u) along u's leading axis, as one pass.
 
     T_b is the _toeplitz_pass of t^b g_w(t).  The sum is the matrix
 
@@ -305,10 +293,10 @@ def _binomial_pass(u: np.ndarray, axis: int, a: int, omega: complex,
     (|d| + |x_k|)^a <= (3L)^a, which bounds the entries for the lift.  The
     matrix takes the row's dtype: real for real w.
     """
-    n = u.shape[axis]
+    n = u.shape[0]
     offsets = _lattice_offsets(n, spacing)
     row = _kernel_row(omega, offsets)
-    lift = _lift_row(row, (1.5 * n * spacing) ** a, u, n)
+    lift = _lift_row(row, (1.5 * n * spacing) ** a, u)
     # offsets in the row's dtype, so no in-place product below casts
     offsets = offsets.astype(row.dtype, copy=False)
     gauss = _lattice_view(row, n)
@@ -323,7 +311,7 @@ def _binomial_pass(u: np.ndarray, axis: int, a: int, omega: complex,
             matrix += (math.comb(a, b) * x ** (a - b)).astype(row.dtype, copy=False)
             matrix *= d
         matrix *= gauss
-    return _matrix_pass(matrix, u, axis, lift)
+    return _matrix_pass(matrix, u, lift)
 
 
 def convolve_weighted_kernel(beta: MultiIndex, omega, phi: GridFunction) -> GridFunction:
@@ -337,6 +325,6 @@ def convolve_weighted_kernel(beta: MultiIndex, omega, phi: GridFunction) -> Grid
         raise ValueError(f"weight dim {beta.dim} != grid dim {phi.dim}")
     check_oracle_grid(phi.dim, phi.points)
     out = phi.samples
-    for axis, b in enumerate(beta):
-        out = _toeplitz_pass(out, axis, b, w, phi.spacing)
+    for b in beta:
+        out = _toeplitz_pass(out, b, w, phi.spacing)
     return phi.with_samples(phi.cell_volume * out)

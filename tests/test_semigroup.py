@@ -72,22 +72,22 @@ def convolve_weighted_kernel_dense(beta, omega, phi):
     return phi.with_samples(phi.cell_volume * out)
 
 
-def unlifted_toeplitz_pass(u, axis, b, omega, spacing):
+def unlifted_toeplitz_pass(u, b, omega, spacing):
     """semigroup._toeplitz_pass as it ran before the 2^k lift: the same
     row and matrix, applied by the same matmul, with no scaling."""
-    n = u.shape[axis]
+    n = u.shape[0]
     offsets = semigroup._lattice_offsets(n, spacing)
     row = semigroup._kernel_row(omega, offsets)
     if b:
         row = row * offsets**b
     matrix = np.ascontiguousarray(semigroup._lattice_view(row, n))
-    return semigroup._matrix_pass(matrix, u, axis, 0)
+    return semigroup._matrix_pass(matrix, u, 0)
 
 
-def unlifted_binomial_pass(u, axis, a, omega, x, spacing):
+def unlifted_binomial_pass(u, a, omega, x, spacing):
     """semigroup._binomial_pass as it ran before the 2^k lift: the same
     Horner matrix, applied by the same matmul, with no scaling."""
-    n = u.shape[axis]
+    n = u.shape[0]
     offsets = semigroup._lattice_offsets(n, spacing)
     row = semigroup._kernel_row(omega, offsets)
     offsets = offsets.astype(row.dtype)
@@ -98,7 +98,13 @@ def unlifted_binomial_pass(u, axis, a, omega, x, spacing):
         matrix += (math.comb(a, b) * x ** (a - b)).astype(row.dtype)
         matrix *= d
     matrix *= gauss
-    return semigroup._matrix_pass(matrix, u, axis, 0)
+    return semigroup._matrix_pass(matrix, u, 0)
+
+
+def to_front(u, axis):
+    """u with one axis moved to the front, C-contiguous: the layout in
+    which a pass contracts that axis."""
+    return np.ascontiguousarray(np.moveaxis(u, axis, 0))
 
 
 def random_grid(dim, points, half_width, seed=11):
@@ -395,9 +401,9 @@ def record_matrices(monkeypatch):
     seen = []
     original = semigroup._matrix_pass
 
-    def recorded(matrix, u, axis, lift):
+    def recorded(matrix, u, lift):
         seen.append(np.ldexp(matrix.view(np.float64), -lift).view(matrix.dtype))
-        return original(matrix, u, axis, lift)
+        return original(matrix, u, lift)
 
     monkeypatch.setattr(semigroup, "_matrix_pass", recorded)
     return seen
@@ -432,16 +438,43 @@ def test_toeplitz_from_offsets_is_bit_identical_on_dyadic_grids(dim, points, mon
 LIFT_GRIDS = [(1, 512), (2, 64), (3, 16)]
 
 
+@pytest.mark.parametrize("dim, points", LIFT_GRIDS)
+def test_pass_moves_its_axis_last(dim, points):
+    # Every pass contracts u's leading axis and returns the product,
+    # C-contiguous, with that axis moved last, so n passes bring an n-d
+    # field back to its own layout.  beta differs per axis and the field is
+    # random, so a pass on the wrong axis or a chain that ends permuted
+    # moves the result by order one; 2e-15 is the dense-reference bound of
+    # test_toeplitz_from_offsets_is_bit_identical_on_dyadic_grids.
+    phi = random_grid(dim, points, 16.0)
+    x, h = phi.axis(), phi.spacing
+    beta = MultiIndex(tuple(range(1, dim + 1)))
+    for omega in (1.0 + 0.0j, 0.7 + 0.5j):
+        u = phi.samples
+        for b in beta:
+            for out in (semigroup._toeplitz_pass(u, b, omega, h),
+                        semigroup._binomial_pass(u, b, omega, x, h)):
+                assert out.shape == u.shape[1:] + (points,), (b, omega)
+                assert out.flags.c_contiguous, (b, omega)
+            u = semigroup._toeplitz_pass(u, b, omega, h)
+        got = convolve_weighted_kernel(beta, omega, phi)
+        assert np.array_equal(got.samples, phi.cell_volume * u)
+        ref = convolve_weighted_kernel_dense(beta, omega, phi)
+        assert rel_l2_error(got, ref) <= 2e-15, omega
+
+
 def lifted_and_unlifted(u, phi, omega):
-    """Every pass kind on every axis of u: (label, lifted, unlifted)."""
+    """Every pass kind on every axis of u, each moved to the front:
+    (label, lifted, unlifted)."""
     x, h = phi.axis(), phi.spacing
     for axis in range(u.ndim):
+        front = to_front(u, axis)
         for b in (0, 3):
-            yield ((axis, "T", b), semigroup._toeplitz_pass(u, axis, b, omega, h),
-                   unlifted_toeplitz_pass(u, axis, b, omega, h))
+            yield ((axis, "T", b), semigroup._toeplitz_pass(front, b, omega, h),
+                   unlifted_toeplitz_pass(front, b, omega, h))
         for a in (1, 4):
-            yield ((axis, "M", a), semigroup._binomial_pass(u, axis, a, omega, x, h),
-                   unlifted_binomial_pass(u, axis, a, omega, x, h))
+            yield ((axis, "M", a), semigroup._binomial_pass(front, a, omega, x, h),
+                   unlifted_binomial_pass(front, a, omega, x, h))
 
 
 @pytest.mark.parametrize("dim, points", LIFT_GRIDS)
@@ -493,11 +526,11 @@ def test_lifted_pass_scales_with_extreme_fields(dim, points, target):
     x, h = phi.axis(), phi.spacing
     for omega in (0.25 + 0.0j, 1.0 + 0.99j):
         for axis in range(dim):
-            for apply in (lambda u: semigroup._toeplitz_pass(u, axis, 3, omega, h),
-                          lambda u: semigroup._binomial_pass(u, axis, 4, omega, x, h)):
-                got = apply(scaled)
+            for apply in (lambda u: semigroup._toeplitz_pass(u, 3, omega, h),
+                          lambda u: semigroup._binomial_pass(u, 4, omega, x, h)):
+                got = apply(to_front(scaled, axis))
                 assert np.all(np.isfinite(got)), (axis, omega)
-                want = np.ldexp(apply(phi.samples).view(np.float64), s)
+                want = np.ldexp(apply(to_front(phi.samples, axis)).view(np.float64), s)
                 assert np.array_equal(got.view(np.float64), want), (axis, omega)
 
 
