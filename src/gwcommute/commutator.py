@@ -203,14 +203,21 @@ def evaluate_R_convolution(alpha: MultiIndex, omega, phi: GridFunction) -> GridF
     and M_a the one-pass sum_{b=1..a} C(a, b) T_b x_j^{a-b} (see
     semigroup._binomial_pass), axis j maps them to
 
-        S' = T_0 (x_j^a S) + M_a (S + Z)
+        S' = x_j^a T_0 S + M_a Z
         Z' = T_0 (x_j^a Z)
 
-    and the result is h^n S.  Each pass moves its axis last, so axis j
-    leads when its turn comes and x_j is one coordinate column.  Z' is
-    formed only while a later axis has a_k > 0, the only place it is read.  The b = 0 term is never formed, so
-    nothing cancels.  That takes at most 3n - 2 passes, against n per
-    (b, g) pair: 4 for alpha = (2, 2) instead of 16, and one in 1-d.
+    and the result is h^n S.  S takes the whole binomial sum over b_j,
+    b_j = 0 included, and that sum is one weight: with d = x_i - x_k,
+    sum_{b=0..a} C(a, b) d^b x_k^{a-b} = (d + x_k)^a = x_i^a, so
+    T_0 x_j^a + M_a = x_j^a T_0.  Z takes b_j >= 1 only, since its b_j = 0
+    term is Z'; that sum is M_a, built by Horner in d, because the same
+    identity would form it as x_j^a T_0 Z - T_0 (x_j^a Z), which cancels.
+
+    Each pass moves its axis last (see semigroup), so axis j leads when
+    its passes run and its weight x_j^a then lies along the last axis.  Z'
+    is formed only while a later axis has a_k > 0, the only place it is
+    read.  That takes at most 3n - 2 passes, against n per (b, g) pair: 4
+    for alpha = (2, 2) instead of 16, and one in 1-d.
     """
     w = check_omega(omega)
     if alpha.order < 1:
@@ -222,23 +229,15 @@ def evaluate_R_convolution(alpha: MultiIndex, omega, phi: GridFunction) -> GridF
     x_0 = x.reshape((-1,) + (1,) * (phi.dim - 1))
     zeros, some = phi.samples, None
     for j, a in enumerate(alpha):
-        either = (zeros if some is None else some + zeros) if a else None
-        # Z is read only for Z' and S only for T_0 (x^a S) from here on;
-        # dropping each when done keeps fewer fields alive at once
-        # (test_convolution_peak_memory_within_pair_sum pins the peak).
+        if some is None:
+            some = _binomial_pass(zeros, a, w, x, h) if a else None
+        else:
+            some = _toeplitz_pass(some, 0, w, h)
+            if a:
+                some *= x**a
+                some += _binomial_pass(zeros, a, w, x, h)
         zeros = (_toeplitz_pass(x_0**a * zeros if a else zeros, 0, w, h)
                  if any(alpha[j + 1:]) else None)
-        if some is not None:
-            if a:
-                some *= x_0**a  # S is always a product of this call
-            some = _toeplitz_pass(some, 0, w, h)
-        if a:
-            part = _binomial_pass(either, a, w, x, h)
-            either = None
-            if some is None:
-                some = part
-            else:
-                some += part
     return phi.with_samples(phi.cell_volume * some)
 
 

@@ -342,8 +342,13 @@ def test_convolution_peak_memory_within_pair_sum(alpha, points, omega):
     # Each Toeplitz matrix is built for one pass and dropped: 4 MiB at
     # N = 512, as much as a 2-d field at N = 256.  Keeping them for a whole
     # call would raise the sweep's peak RSS; this pins that it does not.
-    # A real w takes the real-matrix path, whose last-axis pass copies the
-    # field into a transposed layout; it is pinned as well.
+    # In 2-d at most four N^2 complex fields are alive at once: S, the
+    # weighted x^a Z in its pass, that pass's matrix and its product.  A
+    # real w has a float64 matrix (half a field) and copies each product
+    # transposed, so 4.5 fields.  Measured: 4.02 MiB at w = 1+0.99i and
+    # 4.51 MiB at w = 0.25; the bound adds half a field (0.5 MiB) to each.
+    # Forming S + Z as a field of its own, as the evaluator once did,
+    # measured 5.02 and 5.51 MiB and fails it.
     alpha = MultiIndex(alpha)
     phi = random_grid(alpha.dim, points)
 
@@ -360,7 +365,11 @@ def test_convolution_peak_memory_within_pair_sum(alpha, points, omega):
             if not tracing:
                 tracemalloc.stop()
 
-    assert peak(evaluate_R_convolution) <= peak(convolution_pair_sum)
+    used = peak(evaluate_R_convolution)
+    assert used <= peak(convolution_pair_sum)
+    if alpha.dim == 2:
+        fields = 4.0 if complex(omega).imag else 4.5
+        assert used <= (fields + 0.5) * phi.samples.nbytes, used
 
 
 def test_direct_on_zero_input():

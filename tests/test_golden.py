@@ -96,7 +96,7 @@ SUBCOMMANDS = {
          "--out", "identity2d.csv"],
         0, EMPTY,
         {"identity2d.csv":
-         "d647b2da289b828917e13a13d13e78d46e51626ddd10a201a22546f518e879f3"},
+         "53472f2ede42ee14cd876a51757b31d2686e10e38c6d3fecc55b21d805434cfb"},
     ),
     "verify-identity-fail": (
         ["verify-identity", "--alpha", "3", "--omega", "1,0.9",
@@ -154,7 +154,7 @@ SUBCOMMANDS = {
          "--testfn", "mixture", "--grid", "64,16", "--out", "identity3d.csv"],
         0, EMPTY,
         {"identity3d.csv":
-         "ea898496df8cf1a6dc52b7b6a55a05fe6df6452d621b611b0dba3eef42bad135"},
+         "c36149e111bfa5f12946013b0f5eb50f990d5845f9414061e48334baf66bdfd9"},
     ),
 }
 
