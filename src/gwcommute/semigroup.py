@@ -221,10 +221,10 @@ def _lift_row(row: np.ndarray, poly_bound: float, u: np.ndarray) -> int:
     n = u.shape[0].  The pass's unlifted matrix entries have real and
     imaginary parts at most E = max|row part| * poly_bound, and one max and
     one min over the float view of u (C-contiguous) bound the field's parts
-    by F.  Each output part sums at most 2n products of parts.  With E < 2^{e_E} and
-    F < 2^{e_F} (math.frexp), k = _LIFT_CEILING - e_E - max(e_F + bits(2n), 0)
-    keeps every lifted partial sum and every lifted entry below
-    2^_LIFT_CEILING.
+    by F.  Each output part sums at most 2n products of parts.  With
+    E < 2^{e_E} and F < 2^{e_F} (math.frexp),
+    k = _LIFT_CEILING - e_E - max(e_F + bits(2n), 0) keeps every lifted
+    partial sum and every lifted entry below 2^_LIFT_CEILING.
     """
     parts = u.view(np.float64)
     field_max = max(parts.max(), -parts.min())

@@ -347,8 +347,8 @@ def test_convolution_peak_memory_within_pair_sum(alpha, points, omega):
     # real w has a float64 matrix (half a field) and copies each product
     # transposed, so 4.5 fields.  Measured: 4.02 MiB at w = 1+0.99i and
     # 4.51 MiB at w = 0.25; the bound adds half a field (0.5 MiB) to each.
-    # Forming S + Z as a field of its own, as the evaluator once did,
-    # measured 5.02 and 5.51 MiB and fails it.
+    # One more N^2 field alive, such as S + Z formed on its own, measures
+    # 5.02 and 5.51 MiB and fails it.
     alpha = MultiIndex(alpha)
     phi = random_grid(alpha.dim, points)
 
