@@ -12,12 +12,20 @@ Kinds:
     bandlimited       trigonometric polynomial with seeded complex-normal
                       coefficients times a Gaussian envelope; period 2L,
                       modes |k_j| <= cutoff per axis
+
+The bandlimited series is realized one axis at a time from a single
+(2c+1) x N factor table E[k, m] = exp(i (pi k / L) x_m), c the cutoff: each
+pass contracts the coefficient tensor's leading mode axis against E and
+appends the grid axis last (the layout rule of the quadrature oracle's
+passes), a running sum over k in ascending order.  That is n passes of
+(2c+1) multiply-adds instead of one N^n-point complex exp per mode.  In 1-d
+the samples equal the mode-by-mode sum bit for bit; from 2-d on the sum runs
+in another order and differs at rounding level.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product
 
 import numpy as np
 
@@ -79,23 +87,27 @@ class TestFunctionSpec:
     def _realize_bandlimited(self, dim: int, points: int, half_width: float) -> GridFunction:
         rng = np.random.Generator(np.random.PCG64(self.seed))
         mesh = coordinates(dim, points, half_width)
-        modes = sorted(product(range(-self.cutoff, self.cutoff + 1), repeat=dim))
-        draws = rng.standard_normal((len(modes), 2))
-        scale = 1.0 / math.sqrt(2.0 * len(modes))
-        trig = np.zeros((points,) * dim, dtype=np.complex128)
-        # One buffer for i*phase serves every mode: fresh N^n temporaries per
-        # mode left more than malloc's trim threshold free at the heap top, and
-        # each mode faulted those pages back in.  coeff * np.exp(arg) stays one
-        # expression: numpy's temporary elision picks its operand order, and
-        # the last bits (pinned by the goldens) depend on it.
-        arg = np.empty_like(trig)
-        for (coeff_re, coeff_im), k_vec in zip(draws, modes):
-            coeff = scale * complex(coeff_re, coeff_im)
-            phase = sum(
-                (math.pi * k / half_width) * m for k, m in zip(k_vec, mesh)
-            )
-            np.multiply(1j, phase, out=arg)
-            trig += coeff * np.exp(arg)
+        ks = range(-self.cutoff, self.cutoff + 1)
+        # Draw pair i is the coefficient (re, im) of the i-th mode k in
+        # sorted order, which is the coefficient tensor's C order.
+        count = len(ks) ** dim
+        draws = rng.standard_normal((count, 2))
+        scale = 1.0 / math.sqrt(2.0 * count)
+        trig = scale * draws.view(np.complex128).reshape((len(ks),) * dim)
+        # factors[k, m] = exp(i (pi k / L) x_m) serves every axis.  Each pass
+        # contracts the leading mode axis and appends the grid axis last, so
+        # after dim passes the axes are (x_0, ..., x_{dim-1}).  The running
+        # sum adds the modes in ascending k, as one mode at a time would.
+        x = mesh[0].reshape(-1)
+        factors = [np.exp(1j * ((math.pi * k / half_width) * x)) for k in ks]
+        for _ in range(dim):
+            total = np.zeros(trig.shape[1:] + (points,), dtype=np.complex128)
+            for t_k, e_k in zip(trig, factors):
+                total += t_k[..., None] * e_k
+            trig = total
+        # A fresh product, not trig *= envelope: the identity evaluators'
+        # page faults hang on where setup leaves glibc's heap top, and an
+        # in-place envelope is one way to move it.
         envelope = np.exp(-sum(np.square(m) for m in mesh) / (4.0 * self.envelope_sigma))
         return GridFunction(dim, points, half_width, envelope * trig)
 

@@ -146,7 +146,12 @@ def evaluate_R_theorem(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunct
         total = (None if some is None
                  else np.fft.fftn(x_j**a * some if a else some, axes=[axis]))
         if a:
-            either = zeros if some is None else some + zeros
+            # S has been transformed into total, so S + Z may take its buffer.
+            if some is None:
+                either = zeros
+            else:
+                some += zeros
+                either = some
             for g in range(a - 1, -1, -1):
                 part = _theorem_symbol(a, g, w, ixi).reshape(shape) * np.fft.fftn(
                     x_j**g * either if g else either, axes=[axis])

@@ -336,6 +336,21 @@ def test_convolution_toeplitz_pass_count(alpha, passes, pair_passes, monkeypatch
     assert len(calls) == pair_passes
 
 
+def traced_peak(evaluator, alpha, omega, phi):
+    """Bytes allocated above the starting level while evaluator runs."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        evaluator(alpha, omega, phi)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 @pytest.mark.parametrize("omega", [1.0 + 0.99j, 0.25])
 @pytest.mark.parametrize("alpha, points", [((4,), 512), ((2, 2), 256)])
 def test_convolution_peak_memory_within_pair_sum(alpha, points, omega):
@@ -351,25 +366,25 @@ def test_convolution_peak_memory_within_pair_sum(alpha, points, omega):
     # 5.02 and 5.51 MiB and fails it.
     alpha = MultiIndex(alpha)
     phi = random_grid(alpha.dim, points)
-
-    def peak(evaluator):
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            evaluator(alpha, omega, phi)
-            return tracemalloc.get_traced_memory()[1] - start
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-
-    used = peak(evaluate_R_convolution)
-    assert used <= peak(convolution_pair_sum)
+    used = traced_peak(evaluate_R_convolution, alpha, omega, phi)
+    assert used <= traced_peak(convolution_pair_sum, alpha, omega, phi)
     if alpha.dim == 2:
         fields = 4.0 if complex(omega).imag else 4.5
         assert used <= (fields + 0.5) * phi.samples.nbytes, used
+
+
+@pytest.mark.parametrize("omega", [1.0 + 0.99j, 0.25])
+@pytest.mark.parametrize("alpha", [(2, 2), (1, 3)])
+def test_theorem_peak_memory(alpha, omega):
+    # The theorem evaluator, not the oracle, sets the identity harness's
+    # memory peak.  Measured at N = 256 for both alpha and both w: 6.14 MiB,
+    # six N^2 complex fields (1 MiB each) and the N-long symbols; the bound
+    # adds half a field.  Forming S + Z as a field of its own, not in S's
+    # buffer once S is transformed, measures 7.14 MiB and fails it.
+    alpha = MultiIndex(alpha)
+    phi = random_grid(alpha.dim, 256)
+    used = traced_peak(evaluate_R_theorem, alpha, omega, phi)
+    assert used <= 6.5 * phi.samples.nbytes, used
 
 
 def test_direct_on_zero_input():

@@ -96,7 +96,7 @@ SUBCOMMANDS = {
          "--out", "identity2d.csv"],
         0, EMPTY,
         {"identity2d.csv":
-         "53472f2ede42ee14cd876a51757b31d2686e10e38c6d3fecc55b21d805434cfb"},
+         "965b634c04f415de85829b09f161e057346bbd022c221504d680fd90644571b5"},
     ),
     "verify-identity-fail": (
         ["verify-identity", "--alpha", "3", "--omega", "1,0.9",
@@ -146,7 +146,7 @@ SUBCOMMANDS = {
         ["suite", "--config", "estimate2d.cfg", "--out-dir", "."],
         0, "46a23bd84f31ec9117d2148d326770f0ef945f855ee55403c1d1f781c67a38a8",
         {"estimate.csv":
-         "b96f4c94d393e3eba4bdeaf0a089d86778dd5d0a9748043630d26571693c8e1d"},
+         "a2dc9e0301d4011347c997d8e85471440c5fa5ade1cee81d4bd5052b77c7dc42"},
     ),
     # Real w in 3-d: the oracle's real-matrix (dgemm) passes on every axis.
     "verify-identity-3d-real": (
