@@ -94,10 +94,9 @@ class TestFunctionSpec:
         draws = rng.standard_normal((count, 2))
         scale = 1.0 / math.sqrt(2.0 * count)
         trig = scale * draws.view(np.complex128).reshape((len(ks),) * dim)
-        # factors[k, m] = exp(i (pi k / L) x_m) serves every axis.  Each pass
-        # contracts the leading mode axis and appends the grid axis last, so
-        # after dim passes the axes are (x_0, ..., x_{dim-1}).  The running
-        # sum adds the modes in ascending k, as one mode at a time would.
+        # One factor table for every axis (the module docstring has the
+        # passes).  Ascending k in the running sum keeps the 1-d bits of the
+        # mode-by-mode sum.
         x = mesh[0].reshape(-1)
         factors = [np.exp(1j * ((math.pi * k / half_width) * x)) for k in ks]
         for _ in range(dim):
