@@ -6,11 +6,12 @@
                              R_a(w)phi = sum_{b+g=a, b!=0} sum_{2k<=b}
                                  a!/(g! k! (b-2k)!) w^{|k|} (-2w d)^{b-2k}
                                  e^{wD}(x^g phi)
-                             as Fourier multipliers, axis by axis: one
-                             one-axis transform per (axis, g_j) and per
-                             carried part, one inverse at the end; 88
-                             one-axis transforms per 2-d input and w over
-                             the 14 alpha with 1 <= |alpha| <= 4
+                             as Fourier multipliers, axis by axis, each
+                             axis's symbol summed from expand_R_terms' 1-d
+                             term list: one one-axis transform per (axis,
+                             g_j) and per carried part, one inverse at the
+                             end; 88 one-axis transforms per 2-d input and
+                             w over the 14 alpha with 1 <= |alpha| <= 4
     evaluate_R_convolution   the regrouped convolution form
                              sum_{b+g=a, b!=0} a!/(b! g!) (x^b G_w) * (x^g phi)
                              by exact-kernel quadrature, no DFT; the sum is
@@ -24,9 +25,9 @@ Agreement of all three on generic inputs is the point of this module.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import reduce
+from itertools import groupby
+from typing import Iterator
 
 import numpy as np
 
@@ -77,7 +78,7 @@ class CommutatorTerm:
         return self.delta + (2 * self.kappa)
 
     def scale(self, omega: complex) -> complex:
-        """coefficient * w^{|kappa|} * prod_j (-2w)^{delta_j}."""
+        """coefficient w^{|kappa|} prod_j (-2w)^{delta_j}; _axis_symbols sums these."""
         value = complex(self.coefficient) * omega**self.kappa.order
         for d in self.delta:
             value = value * (-2.0 * omega) ** d
@@ -110,12 +111,12 @@ def evaluate_R_theorem(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunct
     """R_alpha(w) phi as Fourier multipliers, one axis at a time.
 
     The terms sharing gamma add up to P_gamma(xi) e^{-w |xi|^2} on
-    FFT(x^gamma phi), and P_gamma(xi) = prod_j p_{a_j, g_j}(xi_j) (see
-    _theorem_symbol) with p_{a, a} = 1, so the sum over gamma != alpha
-    factorises over the axes.  Two parts run through them: Z, where every
-    beta_j so far is 0 (it starts as phi), and S, where some beta_j so far
-    is nonzero (it starts empty).  With F_j the DFT along axis j and
-    a = a_j, axis j maps them to
+    FFT(x^gamma phi), and P_gamma(xi) = prod_j p_{a_j, g_j}(xi_j), each
+    p_{a,g} summed from expand_R_terms((a,)) (see _axis_symbols) and
+    p_{a, a} = 1, so the sum over gamma != alpha factorises over the axes.
+    Two parts run through them: Z, where every beta_j so far is 0 (it
+    starts as phi), and S, where some beta_j so far is nonzero (it starts
+    empty).  With F_j the DFT along axis j and a = a_j, axis j maps them to
 
         S' = F_j(x_j^a S) + sum_{g=a-1..0} p_{a,g}(xi_j) F_j(x_j^g (S + Z))
         Z' = F_j(x_j^a Z)
@@ -152,8 +153,8 @@ def evaluate_R_theorem(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunct
             else:
                 some += zeros
                 either = some
-            for g in range(a - 1, -1, -1):
-                part = _theorem_symbol(a, g, w, ixi).reshape(shape) * np.fft.fftn(
+            for g, symbol in _axis_symbols(a, w, ixi):
+                part = symbol.reshape(shape) * np.fft.fftn(
                     x_j**g * either if g else either, axes=[axis])
                 if total is None:
                     total = part
@@ -168,21 +169,19 @@ def evaluate_R_theorem(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunct
     return phi.with_samples(np.fft.ifftn(some))
 
 
-def _theorem_symbol(a: int, g: int, w: complex, ixi: np.ndarray) -> np.ndarray:
-    """p_{a,g}(xi) = sum_{2k<=a-g} a!/(g! k! d!) w^k (-2w)^d (i xi)^d, d = a-g-2k.
+def _axis_symbols(a: int, w: complex,
+                  ixi: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(g, p_{a,g}(xi)) for g = a-1..0: the terms of R_(a), grouped by gamma.
 
-    One axis's factor of P_gamma: its terms in expand_R_terms order (k
-    rising), each scale formed as CommutatorTerm.scale forms it.
+    p_{a,g}(xi) = sum_{2k<=a-g} a!/(g! k! d!) w^k (-2w)^d (i xi)^d, d = a-g-2k,
+    is one axis's factor of P_gamma.  A group adds its terms in
+    expand_R_terms order (k rising, so the first has d >= 1); a d = 0 term
+    adds its bare scale.
     """
-    b = a - g
-    parts = []
-    for k in range(b // 2 + 1):
-        d = b - 2 * k
-        coeff = math.factorial(a) // (
-            math.factorial(g) * math.factorial(k) * math.factorial(d))
-        scale = complex(coeff) * w**k * (-2.0 * w) ** d
-        parts.append(scale * ixi**d if d else scale)
-    return reduce(np.add, parts)
+    for (g,), group in groupby(expand_R_terms(MultiIndex((a,))), lambda t: t.gamma):
+        first, *rest = (t.scale(w) * ixi**t.delta[0] if t.delta[0] else t.scale(w)
+                        for t in group)
+        yield g, sum(rest, first)
 
 
 def convolution_pairs(alpha: MultiIndex) -> list[tuple[MultiIndex, MultiIndex, int]]:

@@ -76,6 +76,8 @@ def test_traced_identity_case_counts(dim, points, alpha, transforms):
     assert metrics["commutator.commutator_direct.calls"] == 1
     assert metrics["commutator.evaluate_R_theorem.calls"] == 1
     assert metrics["commutator.evaluate_R_convolution.calls"] == 1
+    # one 1-d term list per axis with a_j > 0: 3 terms for a_j = 2, 1 for 1
+    assert metrics["commutator.evaluate_R_theorem.terms"] == {(2,): 3, (2, 1): 4}[alpha]
     # both flows of the direct commutator go through semigroup.heat_commutator
     assert metrics["semigroup.apply_fourier.calls"] == 0
 
