@@ -137,14 +137,9 @@ def run_constants(sec: config.ConstantsSection, seed: int = 0):
 
 
 def run_kernel_norms(sec: config.KernelNormsSection, seed: int = 0):
-    rows, ok = [], True
-    for beta in sec.betas:
-        for r in sec.r_values:
-            for theta in sec.thetas:
-                rep = kernel_moment_bound_report(beta, theta, r, sec.points, sec.half_width)
-                ok = ok and rep.passed
-                rows.append(rep.row(["beta", "r", "theta", "lhs", "rhs", "pass"]))
-    return ["beta", "r", "theta", "norm", "bound", "pass"], rows, ok
+    reports = [kernel_moment_bound_report(beta, theta, r, sec.points, sec.half_width)
+               for beta in sec.betas for r in sec.r_values for theta in sec.thetas]
+    return _report_table(["beta", "r", "theta", "norm", "bound", "pass"], reports)
 
 
 def cmd_hermite(args) -> int:

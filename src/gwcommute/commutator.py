@@ -130,7 +130,7 @@ def evaluate_R_theorem(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunct
     it is the gamma-grouped sum itself, the groups added in expand_R_terms
     order, so its bits are those of one fftn per gamma and one ifftn.
     """
-    w = complex(omega)
+    w = check_omega(omega)
     if alpha.order < 1:
         raise ValueError("R_alpha requires |alpha| >= 1")
     if alpha.dim != phi.dim:
@@ -270,7 +270,7 @@ def identity_reports(
     All pairs are denominated by ||direct||_2 (floored), so a zero input
     passes trivially and near-zero outputs cannot inflate the ratio.
     """
-    w = complex(omega)
+    w = check_omega(omega)
     direct = commutator_direct(alpha, w, phi)
     theorem = evaluate_R_theorem(alpha, w, phi)
     convolution = evaluate_R_convolution(alpha, w, phi)
@@ -306,7 +306,7 @@ def lemma_B2_identity(
     """
     if alpha.order < 1:
         raise ValueError("shift identity requires |alpha| >= 1")
-    w = complex(omega)
+    w = check_omega(omega)
     e_j = unit(alpha.dim, j)
     lhs = weight_multiply(evaluate_R_convolution(alpha, w, phi), e_j)
     rhs = evaluate_R_convolution(alpha + e_j, w, phi) - evaluate_R_convolution(

@@ -20,8 +20,9 @@ ConfigError (exit code 2).
 
 Each rule the library shares is defined once, next to the object it checks
 (grid.check_grid, grid.check_exponent, semigroup.check_omega,
-semigroup.check_theta, cgl.check_run); this module calls it and turns its
-ValueError into a ConfigError through as_config_error().  The rules kept here
+semigroup.check_theta, cgl.check_run, catalog.get_entry); this module calls it
+and turns its ValueError into a ConfigError through as_config_error(), or
+get_entry's KeyError into one with the same message.  The rules kept here
 are the harnesses' own: non-empty lists, |alpha| >= 1, m >= 1, tolerance > 0.
 """
 from __future__ import annotations
@@ -31,8 +32,9 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .catalog import DEFAULT_CATALOG, GaussianComponent
+from .catalog import GaussianComponent, get_entry
 from .cgl import check_run, step_count
+from .commutator import IDENTITY_TOL
 from .estimates import ExponentTriple
 from .grid import check_exponent, check_grid
 from .multiindex import MultiIndex
@@ -151,9 +153,10 @@ def _check_inputs(sec) -> None:
         check_grid(sec.dim, sec.points, sec.half_width)
     _check_each(check_omega, sec.omegas)
     for name in sec.testfns:
-        if name not in DEFAULT_CATALOG:
-            known = ", ".join(sorted(DEFAULT_CATALOG))
-            raise ConfigError(f"unknown test function {name!r}; catalog has: {known}")
+        try:
+            get_entry(name)
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from exc
 
 
 @dataclass(frozen=True)
@@ -360,7 +363,7 @@ _THETAS = "0,0.3,0.6,0.9,1.2"
 DEFAULTS = {
     "suite": {"harnesses": "", "seed": "0"},
     "identity": {"dim": "", "grid": _GRID, "alphas": "", "omegas": "", "testfns": "",
-                 "tolerance": "1e-6"},
+                 "tolerance": repr(IDENTITY_TOL)},
     "estimate": {"dim": "1", "grid": _GRID, "m_values": "1", "pq_pairs": "", "omegas": "",
                  "testfns": "", "radial": "false", "lipschitz": "false"},
     "constants": {"dim": "1", "m_values": "1,2,3", "r_values": "1,2,inf",

@@ -78,6 +78,8 @@ class EstimateReport:
             "margin": format_value(self.margin),
             "pass": format_value(self.passed),
             "rel_l2_err": format_value(self.lhs),
+            "norm": format_value(self.lhs),
+            "bound": format_value(self.rhs),
             "check": self.check,
         }
         return [special[c] if c in special else self.param(c) for c in columns]

@@ -1,5 +1,9 @@
 """The semigroup e^{w*Laplacian} on grids, two independent ways.
 
+The time w is finite with re w > 0, the paper's domain.  check_omega is
+the one rule for it: every entry that takes w calls it, the spectral ones
+through heat_multiplier, so w = 0 and re w = 0 are rejected everywhere.
+
 The spectral path is diagonal in the discrete Fourier basis:
 heat_multiplier builds exp(-w |xi|^2), apply_fourier flows one field
 through it, and heat_commutator flows both terms of
@@ -118,15 +122,13 @@ def xi_squared(phi: GridFunction) -> np.ndarray:
 
 
 def heat_multiplier(phi: GridFunction, omega) -> np.ndarray:
-    """exp(-w |xi|^2) on the frequency grid of phi, FFT order; re w >= 0.
+    """exp(-w |xi|^2) on the frequency grid of phi, FFT order; w by check_omega.
 
     xi_{-k}^2 equals xi_k^2 exactly, so exp runs only on the (N/2 + 1)^n
     representatives |k_j| <= N/2 and the rest is gathered from them: every
     exp input, hence every value, is the one the full grid would give.
     """
-    w = complex(omega)
-    if w.real < 0.0:
-        raise ValueError(f"re omega must be >= 0, got {w}")
+    w = check_omega(omega)
     points = phi.points
     half = points // 2 + 1
     total = _axis_sum(np.square(frequencies(points, phi.half_width))[:half], phi.dim)
@@ -136,14 +138,8 @@ def heat_multiplier(phi: GridFunction, omega) -> np.ndarray:
 
 
 def apply_fourier(phi: GridFunction, omega) -> GridFunction:
-    """e^{w*Laplacian} phi as the Fourier multiplier exp(-w |xi|^2).
-
-    Accepts any re w >= 0 (w = 0 is the identity); linear in phi.
-    """
-    w = complex(omega)
-    multiplier = heat_multiplier(phi, w)
-    if w == 0:
-        return phi
+    """e^{w*Laplacian} phi as the Fourier multiplier exp(-w |xi|^2); linear in phi."""
+    multiplier = heat_multiplier(phi, omega)
     spectrum = np.fft.fftn(phi.samples)
     spectrum *= multiplier
     return phi.with_samples(np.fft.ifftn(spectrum))
@@ -153,13 +149,9 @@ def heat_commutator(weight: np.ndarray, omega, phi: GridFunction) -> GridFunctio
     """[eta, e^{w*Laplacian}] phi = eta e^{wD}phi - e^{wD}(eta phi).
 
     weight holds the samples of eta and broadcasts against phi.samples.
-    Both flows share one multiplier; w = 0 gives exact zeros, as the
-    identity flow does.
+    Both flows share one multiplier, which checks w.
     """
-    w = complex(omega)
-    multiplier = heat_multiplier(phi, w)
-    if w == 0:
-        return phi.with_samples(np.zeros_like(phi.samples))
+    multiplier = heat_multiplier(phi, omega)
     flowed = np.fft.fftn(phi.samples)
     flowed *= multiplier
     weighted = np.fft.fftn(weight * phi.samples)

@@ -1,16 +1,22 @@
 """Every library name has a caller outside the tests, or is listed here.
 
-The test scans ``src/gwcommute`` for module-level functions and classes and
-looks for a reference to each in ``src/`` and ``benchmarks/*.py``: a name,
-an attribute or a string (the benchmark tracer wraps names by string).
-A use inside the definition itself does not count, and neither does a use
-inside a def that is itself test-only.  The names left over are used by the
+The test scans ``src/gwcommute`` for module-level functions and classes, and
+for the methods of those classes, and looks for a reference to each in
+``src/`` and ``benchmarks/*.py``: a name, an attribute or a string (the
+benchmark tracer wraps names by string).  A use inside the definition itself
+does not count, and neither does a use inside a def that is itself
+test-only.  Dunder methods are not scanned on their own, because operators
+and the runtime reach them without naming them; their bodies count as the
+class's.  Methods are matched by name alone, so a method that shares its
+name with a live one counts as live (``HermitePoly.scale`` beside
+``CommutatorTerm.scale``).  The names left over are used by the
 tests alone; they must match TEST_ONLY exactly, so a new test-only name, or
 a listed name that is deleted or gains a caller, fails here and the list
 stays true.  The names that only the benchmark keeps alive, left over
 when ``src/`` alone is scanned, must match BENCHMARK_ONLY the same way.
 """
 import ast
+import copy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -18,12 +24,17 @@ LIBRARY = sorted((ROOT / "src" / "gwcommute").glob("*.py"))
 CALLERS = LIBRARY + sorted((ROOT / "benchmarks").glob("*.py"))
 
 # Names only the tests call, directly or through each other: the Hermite
-# paper checks, the grid sampler and error norm the tests build inputs and
-# comparisons with, and the full |xi|^2 grid the multiplier tests compare
-# against.  Delete a name here when it is deleted or gains a library caller.
+# paper checks (with the Hermite polynomial's evaluation and monomial
+# product), the grid sampler and error norm the tests build inputs and
+# comparisons with, the full |xi|^2 grid the multiplier tests compare
+# against, and the CGL snapshot lookup by time.  Delete a name here when it
+# is deleted or gains a library caller.
 TEST_ONLY = {
+    "cgl.CGLRun.state_at",
     "grid.from_callable",
     "grid.rel_l2_error",
+    "hermite.HermitePoly.evaluate",
+    "hermite.HermitePoly.monomial_multiply",
     "hermite.flavor_convert",
     "hermite.gaussian_derivative",
     "hermite.gaussian_kernel_point",
@@ -66,13 +77,30 @@ def identifiers(node: ast.AST) -> set[str]:
     return found
 
 
+def def_statements(stmt: ast.AST, prefix: str) -> list[tuple[str, set[str]]]:
+    """(name, identifiers) for a library def, each name under prefix.
+
+    A class gives its own entry, which holds everything but its non-dunder
+    methods, and one entry per such method, named "Class.method".
+    """
+    name = f"{prefix}.{stmt.name}"
+    if not isinstance(stmt, ast.ClassDef):
+        return [(name, identifiers(stmt))]
+    methods = [sub for sub in stmt.body
+               if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__")]
+    shell = copy.copy(stmt)
+    shell.body = [sub for sub in stmt.body if sub not in methods]
+    return [(name, identifiers(shell))] + [
+        (f"{name}.{method.name}", identifiers(method)) for method in methods]
+
+
 def unreferenced(statements) -> set[str]:
     """Names of the defs that no live statement uses.
 
     statements holds (name, identifiers) per top-level statement, with name
     None for everything that is not a library def: benchmark code and
-    module-level assignments are live from the start.  A name may carry a
-    "module." prefix.  A def is live once a live statement other than itself
+    module-level assignments are live from the start.  A name may carry
+    "module." and "Class." prefixes.  A def is live once a live statement other than itself
     uses it, so a def that only test-only defs call is test-only too.
     """
     live = [ids for name, ids in statements if name is None]
@@ -85,14 +113,20 @@ def unreferenced(statements) -> set[str]:
         live += [pending.pop(name) for name in reached]
 
 
-def uncalled_names(callers=CALLERS) -> set[str]:
+def module_statements(source: str, stem: str, library: bool):
+    """(name, identifiers) per top-level statement of one module's source."""
     statements = []
-    for path in callers:
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            is_def = path in LIBRARY and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            statements.append((f"{path.stem}.{stmt.name}" if is_def else None,
-                               identifiers(stmt)))
-    return unreferenced(statements)
+    for stmt in ast.parse(source, filename=stem).body:
+        if library and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            statements += def_statements(stmt, stem)
+        else:
+            statements.append((None, identifiers(stmt)))
+    return statements
+
+
+def uncalled_names(callers=CALLERS) -> set[str]:
+    return unreferenced([statement for path in callers for statement in
+                         module_statements(path.read_text(), path.stem, path in LIBRARY)])
 
 
 def test_scan_sees_the_library():
@@ -118,12 +152,17 @@ def test_scan_counts_live_uses_only():
         "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n"
         "def helper():\n    return 2\n\n"
         "def only_for_tests():\n    return helper()\n\n"
-        "class Lonely:\n    def copy(self):\n        return Lonely()\n\n"
+        "class Lonely:\n    def copy(self):\n        return Lonely()\n"
+        "    def scale(self):\n        return 5\n\n"
         "from elsewhere import imported_only\n"
         "def imported_only():\n    return 3\n\n"
-        "TABLE = {'used': used}\n"
+        "class Poly:\n    def __mul__(self, k):\n        return self.scale(k)\n"
+        "    def scale(self, k):\n        return Poly()\n"
+        "    def evaluate(self):\n        return only_from_evaluate()\n\n"
+        "def only_from_evaluate():\n    return 4\n\n"
+        "TABLE = {'used': used, 'poly': Poly}\n"
     )
-    statements = [(getattr(stmt, "name", None), identifiers(stmt))
-                  for stmt in ast.parse(source).body]
-    assert unreferenced(statements) == {
-        "recursive", "helper", "only_for_tests", "Lonely", "imported_only"}
+    # Poly.scale is live through Poly.__mul__, and Lonely.scale by its name.
+    assert unreferenced(module_statements(source, "m", library=True)) == {
+        "m.recursive", "m.helper", "m.only_for_tests", "m.Lonely", "m.Lonely.copy",
+        "m.imported_only", "m.Poly.evaluate", "m.only_from_evaluate"}
