@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import GridFunction, boundary_mass_fraction, coordinates
+from .multiindex import unit
 
 
 @dataclass(frozen=True)
@@ -174,8 +175,7 @@ def mollified_weight(j: int, eps: float, dim: int, points: int,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not 1 <= j <= dim:
-        raise ValueError(f"axis j={j} out of range 1..{dim}")
+    unit(dim, j)  # the axis rule
     mesh = coordinates(dim, points, half_width)
     envelope = np.exp(-eps * sum(np.square(c) for c in mesh)).astype(np.complex128)
     return GridFunction(dim, points, half_width, mesh[j - 1] * envelope), 2.0

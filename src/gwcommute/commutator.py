@@ -31,9 +31,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .grid import GridFunction, lp_norm, monomial_weight, weight_multiply
+from .grid import GridFunction, lp_norm, monomial_weight, rel_l2_error, weight_multiply
 from .multiindex import (
     MultiIndex,
+    check_index,
+    check_order,
     enumerate_dominated,
     enumerate_half_dominated,
     factorial,
@@ -87,8 +89,7 @@ class CommutatorTerm:
 
 def expand_R_terms(alpha: MultiIndex) -> list[CommutatorTerm]:
     """Complete, duplicate-free term list of R_alpha, deterministic order."""
-    if alpha.order < 1:
-        raise ValueError("R_alpha requires |alpha| >= 1")
+    check_order(alpha.order, "|alpha|")
     a_fact = factorial(alpha)
     terms = []
     for beta in enumerate_dominated(alpha):
@@ -131,10 +132,8 @@ def evaluate_R_theorem(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunct
     order, so its bits are those of one fftn per gamma and one ifftn.
     """
     w = check_omega(omega)
-    if alpha.order < 1:
-        raise ValueError("R_alpha requires |alpha| >= 1")
-    if alpha.dim != phi.dim:
-        raise ValueError(f"weight dim {alpha.dim} != grid dim {phi.dim}")
+    check_order(alpha.order, "|alpha|")
+    check_index(alpha, phi.dim)
     xi = frequencies(phi.points, phi.half_width)
     ixi = 1j * xi
     x = phi.axis()
@@ -224,10 +223,8 @@ def evaluate_R_convolution(alpha: MultiIndex, omega, phi: GridFunction) -> GridF
     for alpha = (2, 2) instead of 16, and one in 1-d.
     """
     w = check_omega(omega)
-    if alpha.order < 1:
-        raise ValueError("R_alpha requires |alpha| >= 1")
-    if alpha.dim != phi.dim:
-        raise ValueError(f"weight dim {alpha.dim} != grid dim {phi.dim}")
+    check_order(alpha.order, "|alpha|")
+    check_index(alpha, phi.dim)
     check_oracle_grid(phi.dim, phi.points)
     x, h = phi.axis(), phi.spacing
     x_0 = x.reshape((-1,) + (1,) * (phi.dim - 1))
@@ -304,15 +301,14 @@ def lemma_B2_identity(
     Both sides through evaluate_R_convolution; reported as a relative-L2
     discrepancy row.
     """
-    if alpha.order < 1:
-        raise ValueError("shift identity requires |alpha| >= 1")
+    check_order(alpha.order, "|alpha|")
     w = check_omega(omega)
     e_j = unit(alpha.dim, j)
     lhs = weight_multiply(evaluate_R_convolution(alpha, w, phi), e_j)
     rhs = evaluate_R_convolution(alpha + e_j, w, phi) - evaluate_R_convolution(
         e_j, w, weight_multiply(phi, alpha)
     )
-    rel = lp_norm(lhs - rhs, 2.0) / max(lp_norm(lhs, 2.0), NORM_FLOOR)
+    rel = rel_l2_error(rhs, lhs, NORM_FLOOR)
     params = [("alpha", alpha.to_str()), ("j", str(j))] + _omega_params(w)
     params += [("pair", "shift-identity"), ("testfn", testfn)]
     return EstimateReport(check="shift-identity", lhs=rel, rhs=tol, params=tuple(params))

@@ -19,11 +19,12 @@ construction, that the values make a valid harness input.  Both raise
 ConfigError (exit code 2).
 
 Each rule the library shares is defined once, next to the object it checks
-(grid.check_grid, grid.check_exponent, semigroup.check_omega,
-semigroup.check_theta, cgl.check_run, catalog.get_entry); this module calls it
-and turns its ValueError into a ConfigError through as_config_error(), or
-get_entry's KeyError into one with the same message.  The rules kept here
-are the harnesses' own: non-empty lists, |alpha| >= 1, m >= 1, tolerance > 0.
+(grid.check_grid, grid.check_exponent, multiindex.check_order,
+multiindex.check_index, semigroup.check_omega, semigroup.check_theta,
+cgl.check_run, catalog.get_entry); this module calls it and turns its
+ValueError into a ConfigError through as_config_error(), or get_entry's
+KeyError into one with the same message.  The rules kept here are the
+harnesses' own: non-empty lists, tolerance > 0 and a CGL horizon >= 2.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .cgl import check_run, step_count
 from .commutator import IDENTITY_TOL
 from .estimates import ExponentTriple
 from .grid import check_exponent, check_grid
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, check_index, check_order
 from .semigroup import check_omega, check_oracle_grid, check_theta
 
 
@@ -141,14 +142,11 @@ def _check_filled(section: str, **lists) -> None:
 
 
 def _check_positive(name: str, values) -> None:
-    for m in values:
-        if m < 1:
-            raise ConfigError(f"{name} must be >= 1, got {m}")
+    _check_each(lambda value: check_order(value, name), values)
 
 
 def _check_inputs(sec) -> None:
     """The checks the identity and estimate sections share."""
-    _check_positive("dim", [sec.dim])
     with as_config_error():
         check_grid(sec.dim, sec.points, sec.half_width)
     _check_each(check_omega, sec.omegas)
@@ -173,9 +171,7 @@ class IdentitySection:
         _check_filled("identity", alphas=self.alphas, omegas=self.omegas,
                       testfns=self.testfns)
         _check_inputs(self)
-        for alpha in self.alphas:
-            if alpha.dim != self.dim:
-                raise ConfigError(f"alpha {alpha.to_str()} does not match dim {self.dim}")
+        _check_each(lambda alpha: check_index(alpha, self.dim), self.alphas)
         _check_positive("|alpha|", [alpha.order for alpha in self.alphas])
         with as_config_error():
             check_oracle_grid(self.dim, self.points)

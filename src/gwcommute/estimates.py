@@ -18,8 +18,9 @@ bounds the |x|^m commutator the same way.
 
 The commutator fields do not depend on (p, q).  verify_theorem_1_2 and
 verify_radial_remark therefore take a sequence of ExponentTriples: each
-call builds its fields once per (phi, m, omega) and returns one report per
-triple, in order, each taking its p-norms from those same fields.
+call builds its fields, and the right-hand side's |x|^{m-1} phi, once per
+(phi, m, omega) and returns one report per triple, in order, each taking
+its p-norms from those same fields.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from .grid import (
     radial_weight,
     weight_multiply_radial,
 )
-from .multiindex import MultiIndex, enumerate_level, level_count
+from .multiindex import MultiIndex, check_order, enumerate_level, level_count, zero
 from .reporting import EstimateReport, format_exponent, format_value
 from .semigroup import check_omega, check_theta, heat_commutator, weighted_kernel_grid
 
@@ -78,10 +79,8 @@ class ExponentTriple:
 
 def _shared_factor(n: int, m: int, r: float, theta: float) -> float:
     """The theta- and r-dependent part common to A and A~."""
-    if m < 1:
-        raise ValueError("weight order m must be >= 1")
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    check_order(m, "m")
+    check_order(n, "dim")
     cos_t = math.cos(check_theta(theta))
     inv_r = _reciprocal(r)
     gauss = (4.0 * math.pi) ** (-(n / 2.0) * (1.0 - inv_r))
@@ -103,8 +102,7 @@ def constant_A_tilde(n: int, m: int, r: float, theta: float) -> float:
 
 def sup_gaussian_moment(k: int, theta: float) -> float:
     """sup_x |x|^k exp(-(cos theta / 8)|x|^2) = (4k/(e cos theta))^{k/2}."""
-    if k < 1:
-        raise ValueError("moment order k must be >= 1")
+    check_order(k, "k")
     cos_t = math.cos(check_theta(theta))
     return (4.0 * k / (math.e * cos_t)) ** (k / 2.0)
 
@@ -124,12 +122,13 @@ def _estimate_params(n: int, m: int, triple: ExponentTriple, omega: complex,
     )
 
 
-def weighted_rhs(m: int, triple: ExponentTriple, omega: complex,
-                 phi: GridFunction, constant: float) -> float:
-    """constant * |w|^{-(n/2)(1/q-1/p)} (|w|^{1/2}|||x|^{m-1}phi||_q + |w|^{m/2}||phi||_q)."""
+def weighted_rhs(m: int, triple: ExponentTriple, omega: complex, phi: GridFunction,
+                 weighted: GridFunction, constant: float) -> float:
+    """constant * |w|^{-(n/2)(1/q-1/p)} (|w|^{1/2}||weighted||_q + |w|^{m/2}||phi||_q),
+    weighted = |x|^{m-1} phi."""
     n = phi.dim
     mod = abs(omega)
-    lower = lp_norm(weight_multiply_radial(phi, m - 1), triple.q)
+    lower = lp_norm(weighted, triple.q)
     plain = lp_norm(phi, triple.q)
     scale = math.exp(-(n / 2.0) * (triple.inv_q - triple.inv_p) * math.log(mod))
     return constant * scale * (math.sqrt(mod) * lower + mod ** (m / 2.0) * plain)
@@ -141,13 +140,14 @@ def _level_reports(check: str, constant_of: Callable[..., float], m: int,
     """One report per triple: lhs is the fsum of the fields' p-norms."""
     theta = math.atan2(w.imag, w.real)
     n = phi.dim
+    weighted = weight_multiply_radial(phi, m - 1)
     reports = []
     for triple in triples:
         constant = constant_of(n, m, triple.r, theta)
         reports.append(EstimateReport(
             check=check,
             lhs=math.fsum(lp_norm(field, triple.p) for field in fields),
-            rhs=weighted_rhs(m, triple, w, phi, constant),
+            rhs=weighted_rhs(m, triple, w, phi, weighted, constant),
             constant=constant,
             params=_estimate_params(n, m, triple, w, theta, testfn),
         ))
@@ -224,7 +224,7 @@ def kernel_moment_bound_report(beta: MultiIndex, theta: float, r: float,
     direction = complex(math.cos(theta), math.sin(theta))
     lhs = lp_norm(weighted_kernel_grid(beta, direction, points, half_width), r)
     base = lp_norm(
-        weighted_kernel_grid(MultiIndex((0,) * n), 2.0 * direction, points, half_width),
+        weighted_kernel_grid(zero(n), 2.0 * direction, points, half_width),
         r,
     )
     rhs = 2.0 ** (n / 2.0) * base * sup_gaussian_moment(beta.order, theta)

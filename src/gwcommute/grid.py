@@ -18,13 +18,12 @@ from functools import reduce
 
 import numpy as np
 
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, check_index, check_order
 
 
 def check_grid(dim: int, points: int, half_width: float) -> None:
     """The grid rule: n >= 1, N a power of two >= 8, L finite and positive."""
-    if dim < 1:
-        raise ValueError(f"grid needs dimension n >= 1, got {dim}")
+    check_order(dim, "dim")
     if points < 8 or points & (points - 1):
         raise ValueError(f"grid points must be a power of two >= 8, got {points}")
     if not 0.0 < half_width < math.inf:
@@ -142,8 +141,7 @@ def rel_l2_error(result: GridFunction, reference: GridFunction, floor: float = 1
 
 def monomial_weight(phi: GridFunction, alpha: MultiIndex) -> np.ndarray:
     """x^alpha on the grid of phi, shaped to broadcast against its samples."""
-    if alpha.dim != phi.dim:
-        raise ValueError(f"weight dimension {alpha.dim} != grid dimension {phi.dim}")
+    check_index(alpha, phi.dim)
     mesh = coordinates(phi.dim, phi.points, phi.half_width)
     weight = np.ones_like(mesh[0])
     for axis_coord, power in zip(mesh, alpha):

@@ -4,6 +4,10 @@ A multi-index is a tuple of non-negative integers indexing mixed monomials
 x^alpha and mixed derivatives d^alpha.  Everything here is exact integer
 arithmetic; enumeration order is graded lexicographic so that downstream
 output is deterministic.
+
+The order rule (n, |alpha|, m, |beta| >= 1) and the index rule (an index
+has the grid's dimension) are defined once here, in check_order and
+check_index; every entry and config section calls them.
 """
 from __future__ import annotations
 
@@ -90,6 +94,18 @@ class MultiIndex:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
 
+def check_order(value: int, name: str) -> None:
+    """The order rule: value >= 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def check_index(index: MultiIndex, dim: int, name: str = "alpha") -> None:
+    """The index rule: index has dimension dim."""
+    if index.dim != dim:
+        raise ValueError(f"{name} {index.to_str()} does not match dim {dim}")
+
+
 def unit(n: int, j: int) -> MultiIndex:
     """Standard basis index e_j (1-based axis j) in dimension n."""
     if not 1 <= j <= n:
@@ -113,8 +129,7 @@ def level_count(n: int, m: int) -> int:
 
 def enumerate_level(n: int, m: int) -> list[MultiIndex]:
     """All alpha with |alpha| = m, graded lexicographic (lex-descending within the level)."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    check_order(n, "dim")
     if m < 0:
         raise ValueError("total degree must be >= 0")
 

@@ -51,7 +51,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import GridFunction, coordinates
 from .hermite import gaussian_log_prefactor
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, check_index
 
 # Work guard for the quadrature oracle: it exists for cross-validation, not
 # production.  points <= 512 per axis and at most 2^22 samples total.
@@ -164,8 +164,7 @@ def derivative_multiplier(phi: GridFunction, delta: MultiIndex):
 
     The outer product of the 1-d factors; the scalar 1.0 when delta = 0.
     """
-    if delta.dim != phi.dim:
-        raise ValueError(f"derivative index dim {delta.dim} != grid dim {phi.dim}")
+    check_index(delta, phi.dim, "delta")
     if delta.order == 0:
         return 1.0
     ixi = 1j * frequencies(phi.points, phi.half_width)
@@ -313,8 +312,7 @@ def convolve_weighted_kernel(beta: MultiIndex, omega, phi: GridFunction) -> Grid
     by one Toeplitz pass per axis.
     """
     w = check_omega(omega)
-    if beta.dim != phi.dim:
-        raise ValueError(f"weight dim {beta.dim} != grid dim {phi.dim}")
+    check_index(beta, phi.dim, "beta")
     check_oracle_grid(phi.dim, phi.points)
     out = phi.samples
     for b in beta:

@@ -109,14 +109,6 @@ def test_expand_rejects_zero_alpha():
         expand_R_terms(MultiIndex([0, 0]))
 
 
-def test_convolution_rejects_zero_alpha_and_dim_mismatch():
-    phi = random_grid(2, 8)
-    with pytest.raises(ValueError, match="requires"):
-        evaluate_R_convolution(MultiIndex([0, 0]), 1.0, phi)
-    with pytest.raises(ValueError, match="dim"):
-        evaluate_R_convolution(MultiIndex([1]), 1.0, phi)
-
-
 def test_term_validation_and_scale():
     with pytest.raises(ValueError):
         CommutatorTerm(MultiIndex([0]), MultiIndex([0]), MultiIndex([0]), 1)

@@ -194,7 +194,7 @@ def test_multi_triple_reports_match_one_triple_calls(verify, dim):
 def test_weighted_rhs_formula_spot_value():
     phi = gaussian_grid(0.5)
     triple = ExponentTriple(2.0, 1.0)
-    got = weighted_rhs(2, triple, 4.0, phi, 10.0)
+    got = weighted_rhs(2, triple, 4.0, phi, weight_multiply_radial(phi, 1), 10.0)
     lower = lp_norm(weight_multiply_radial(phi, 1), 1.0)
     plain = lp_norm(phi, 1.0)
     want = 10.0 * 4.0 ** (-0.25) * (2.0 * lower + 4.0 * plain)

@@ -25,14 +25,13 @@ CALLERS = LIBRARY + sorted((ROOT / "benchmarks").glob("*.py"))
 
 # Names only the tests call, directly or through each other: the Hermite
 # paper checks (with the Hermite polynomial's evaluation and monomial
-# product), the grid sampler and error norm the tests build inputs and
-# comparisons with, the full |xi|^2 grid the multiplier tests compare
-# against, and the CGL snapshot lookup by time.  Delete a name here when it
+# product), the grid sampler the tests build inputs with, the full |xi|^2
+# grid the multiplier tests compare against, and the CGL snapshot lookup by
+# time.  Delete a name here when it
 # is deleted or gains a library caller.
 TEST_ONLY = {
     "cgl.CGLRun.state_at",
     "grid.from_callable",
-    "grid.rel_l2_error",
     "hermite.HermitePoly.evaluate",
     "hermite.HermitePoly.monomial_multiply",
     "hermite.flavor_convert",
@@ -43,7 +42,6 @@ TEST_ONLY = {
     "hermite.hermite_recurrence",
     "hermite.monomial_expand",
     "hermite.reconstruct_monomial",
-    "multiindex.zero",
     "semigroup.xi_squared",
 }
 
