@@ -12,8 +12,8 @@ its spectrum S, so one step
 
     S' = e^{dt nu D} S + dt * e^{(dt/2) nu D} FFT f(IFFT(e^{(dt/2) nu D} S))
 
-costs three transforms: the predictor, the forcing and the physical u(t + dt)
-that the sup-norm guard checks.  Probes then test
+costs two transforms, the predictor and the forcing; u(t + dt) itself is
+transformed back only at the snapshots kept.  Probes then test
 
     decay:    (1+t)^{(n/2)(1-1/r)} ||u(t)||_r stays bounded,
     weighted: W(t) = sum_{|a|=m} ||x^a u(t)||_q grows no faster than t^{m/2}.
@@ -26,7 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, boundary_mass_fraction, lp_norm, weight_multiply
+from .grid import (
+    GridFunction,
+    boundary_mass_fraction,
+    lp_norm,
+    monomial_weight,
+    weight_multiply,
+)
 from .multiindex import enumerate_level
 from .semigroup import check_omega, heat_multiplier
 
@@ -105,8 +111,8 @@ class CGLRun:
 class _Stepper:
     """Precomputed multipliers for the (nu, dt) of cfg, stepping a spectrum.
 
-    advance() maps the spectrum of u(t) to that of u(t + dt) with three
-    transforms and returns u(t + dt) too, which the sup-norm guard checks.
+    advance() maps the spectrum of u(t) to that of u(t + dt) with two
+    transforms; guard() checks u(t)'s predictor on the way.
     """
 
     def __init__(self, cfg: CGLConfig):
@@ -116,19 +122,21 @@ class _Stepper:
         self.kick = cfg.dt * self.half
         self.sup_limit = DEFAULT_BLOWUP_FACTOR * lp_norm(cfg.u0, math.inf)
 
-    def advance(self, spectrum: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(spectrum, samples) of the state at time t, one step after spectrum."""
-        predictor = np.fft.ifftn(self.half * spectrum)
-        forcing = np.fft.fftn(self.cfg.nonlinearity(predictor))
-        spectrum = self.full * spectrum + self.kick * forcing
-        samples = np.fft.ifftn(spectrum)
+    def guard(self, samples: np.ndarray, t: float) -> None:
+        """Raise BlowupError at time t if |samples| exceeds the limit or is not finite."""
         # written so that a NaN sup norm trips the guard too
         if not float(np.max(np.abs(samples))) <= self.sup_limit:
             raise BlowupError(
                 f"sup-norm guard tripped at t = {t:g}: |u| exceeded "
                 f"{DEFAULT_BLOWUP_FACTOR:g} x its initial value (or is not finite)"
             )
-        return spectrum, samples
+
+    def advance(self, spectrum: np.ndarray, t: float) -> np.ndarray:
+        """The spectrum one step after spectrum, the state at time t."""
+        predictor = np.fft.ifftn(self.half * spectrum)
+        self.guard(predictor, t)
+        forcing = np.fft.fftn(self.cfg.nonlinearity(predictor))
+        return self.full * spectrum + self.kick * forcing
 
 
 def step_count(horizon: float, dt: float) -> int:
@@ -145,9 +153,10 @@ def simulate(cfg: CGLConfig) -> CGLRun:
     The mass fraction at grid distance >= L/2 from the origin is tracked per
     snapshot; the run warns (once) if it ever exceeds DEFAULT_BOUNDARY_LIMIT.
     Free spreading reaches that band eventually, so this is a diagnostic for
-    judging late-time probe trust, not an abort.  A step whose sup norm
+    judging late-time probe trust, not an abort.  A state whose sup norm
     exceeds DEFAULT_BLOWUP_FACTOR times the initial one, or is not finite,
-    raises BlowupError.
+    raises BlowupError naming its time.  The guard reads each state through
+    its predictor e^{(dt/2) nu D} u(t), and each kept snapshot directly.
     """
     steps = step_count(cfg.horizon, cfg.dt)
     stride = max(1, round(cfg.snapshot_every / cfg.dt))
@@ -157,8 +166,10 @@ def simulate(cfg: CGLConfig) -> CGLRun:
     states = [cfg.u0]
     boundary_max = boundary_mass_fraction(cfg.u0)
     for k in range(1, steps + 1):
-        spectrum, samples = stepper.advance(spectrum, k * cfg.dt)
+        spectrum = stepper.advance(spectrum, (k - 1) * cfg.dt)
         if k % stride == 0 or k == steps:
+            samples = np.fft.ifftn(spectrum)
+            stepper.guard(samples, k * cfg.dt)
             u = cfg.u0.with_samples(samples)
             times.append(k * cfg.dt)
             states.append(u)
@@ -189,8 +200,21 @@ def decay_records(run: CGLRun, r_values=(1.0, 2.0, math.inf)) -> list[DecayRecor
     return records
 
 
+def check_weight_range(u: GridFunction, m: int) -> None:
+    """The probe's rule: every weight x^a, |a| = m, is finite in float64 on
+    the grid of u.  It evaluates the very weights weighted_records applies,
+    so it is the float-range fact itself, not a bound on m."""
+    with np.errstate(over="ignore"):
+        if all(np.isfinite(monomial_weight(u, alpha)).all()
+               for alpha in enumerate_level(u.dim, m)):
+            return
+    raise ValueError(f"weight order m = {m} is too large for the box half-width "
+                     f"L = {u.half_width:g}: x^a with |a| = m overflows float64 on [-L, L)")
+
+
 def weighted_records(run: CGLRun, m: int, q: float) -> list[WeightedRecord]:
     """W(t) = sum_{|a|=m} ||x^a u(t)||_q along the snapshots."""
+    check_weight_range(run.config.u0, m)
     level = enumerate_level(run.config.u0.dim, m)
     records = []
     for t, u in zip(run.times, run.states):

@@ -18,6 +18,7 @@ from . import __version__, catalog, config
 from .cgl import (
     BlowupError,
     CGLConfig,
+    check_weight_range,
     decay_bounded,
     decay_records,
     fit_loglog_slope,
@@ -125,14 +126,16 @@ def run_estimate(sec: config.EstimateSection, seed: int = 0):
 
 
 def run_constants(sec: config.ConstantsSection, seed: int = 0):
-    rows = [
-        [
-            str(sec.dim), str(m), format_exponent(r), format_value(theta),
-            format_value(constant_A(sec.dim, m, r, theta)),
-            format_value(constant_A_tilde(sec.dim, m, r, theta)),
+    # an m too large for the constants to fit in float64
+    with config.as_config_error():
+        rows = [
+            [
+                str(sec.dim), str(m), format_exponent(r), format_value(theta),
+                format_value(constant_A(sec.dim, m, r, theta)),
+                format_value(constant_A_tilde(sec.dim, m, r, theta)),
+            ]
+            for m in sec.m_values for r in sec.r_values for theta in sec.thetas
         ]
-        for m in sec.m_values for r in sec.r_values for theta in sec.thetas
-    ]
     return ["n", "m", "r", "theta", "A", "A_tilde"], rows, True
 
 
@@ -229,9 +232,11 @@ def _write_all(artifacts: dict[str, str]) -> None:
 
 def _run_cgl(section: config.CGLSection, prefix: str, tag: str):
     """({path: text} of the three artifacts under prefix, all passed)."""
-    # the smallness of u0 and the snapshots in the slope-fit window depend on the data
+    # the smallness of u0 and the snapshots in the slope-fit window depend on
+    # the data; the weight's range is checked before the run, not after it
     with config.as_config_error():
         cfg = _build_cgl_config(section)
+        check_weight_range(cfg.u0, section.m)
     try:
         run = simulate(cfg)
     except BlowupError as exc:  # the data was not small enough for this lambda

@@ -88,7 +88,13 @@ def _shared_factor(n: int, m: int, r: float, theta: float) -> float:
         kernel_factor = 1.0
     else:
         kernel_factor = (2.0 / (r * cos_t)) ** (n / (2.0 * r))
-    bracket = (math.sqrt(4.0 * m / (math.e * cos_t)) + 1.0) ** m - 1.0
+    try:
+        bracket = (math.sqrt(4.0 * m / (math.e * cos_t)) + 1.0) ** m - 1.0
+    except OverflowError:
+        raise ValueError(
+            f"the bracket (sqrt(4m/(e cos theta)) + 1)^m - 1 of A and A~ overflows "
+            f"float64 at m = {m}, theta = {theta:g}"
+        ) from None
     return gauss * kernel_factor * bracket
 
 

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from gwcommute import cgl
+from gwcommute import cgl, config as suite_config
+from gwcommute.cli import _build_cgl_config
 from gwcommute.cgl import (
     BlowupError,
     CGLConfig,
@@ -16,8 +18,8 @@ from gwcommute.cgl import (
     simulate,
     weighted_records,
 )
-from gwcommute.grid import from_callable, lp_norm, rel_l2_error
-from gwcommute.semigroup import apply_fourier, xi_squared
+from gwcommute.grid import boundary_mass_fraction, from_callable, lp_norm, rel_l2_error
+from gwcommute.semigroup import apply_fourier, heat_multiplier, xi_squared
 
 
 def step_duhamel(u, cfg, dt):
@@ -183,7 +185,7 @@ def test_simulate_matches_physical_space_steps():
         assert rel_l2_error(got, ref) <= 1e-12, t
 
 
-def test_three_transforms_per_step(monkeypatch):
+def test_two_transforms_per_step(monkeypatch):
     calls = []
     for name in ("fftn", "ifftn"):
         original = getattr(cgl.np.fft, name)
@@ -193,9 +195,93 @@ def test_three_transforms_per_step(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(cgl.np.fft, name, counted)
-    simulate(config(dt=0.05, horizon=1.0))
-    assert len(calls) == 3 * 20 + 1
-    assert calls.count("fftn") == 20 + 1
+    cfg = config(dt=0.05, horizon=1.0)
+    run = simulate(cfg)
+    steps = round(cfg.horizon / cfg.dt)
+    snapshots = len(run.states) - 1  # u0 is kept as given
+    assert (steps, snapshots) == (20, 2)
+    # the transform of u0, the predictor and the forcing of each step, and
+    # u(t) itself only for each kept snapshot
+    assert len(calls) == 1 + 2 * steps + snapshots
+    assert calls.count("fftn") == 1 + steps
+
+
+def simulate_three_transforms(cfg):
+    """(times, states, boundary_max) from a three-transform stepper that
+    returns every step to physical space: the reference simulate, which
+    transforms back only the snapshots it keeps, must match bit for bit."""
+    full = heat_multiplier(cfg.u0, cfg.nu * cfg.dt)
+    half = heat_multiplier(cfg.u0, cfg.nu * (cfg.dt / 2.0))
+    kick = cfg.dt * half
+    steps = round(cfg.horizon / cfg.dt)
+    stride = max(1, round(cfg.snapshot_every / cfg.dt))
+    spectrum = np.fft.fftn(cfg.u0.samples)
+    times, states = [0.0], [cfg.u0]
+    boundary_max = boundary_mass_fraction(cfg.u0)
+    for k in range(1, steps + 1):
+        predictor = np.fft.ifftn(half * spectrum)
+        forcing = np.fft.fftn(cfg.nonlinearity(predictor))
+        spectrum = full * spectrum + kick * forcing
+        samples = np.fft.ifftn(spectrum)
+        if k % stride == 0 or k == steps:
+            u = cfg.u0.with_samples(samples)
+            times.append(k * cfg.dt)
+            states.append(u)
+            boundary_max = max(boundary_max, boundary_mass_fraction(u))
+    return times, states, boundary_max
+
+
+def default_suite_cgl_config():
+    text = resources.files("gwcommute").joinpath("data/default_suite.cfg").read_text()
+    return _build_cgl_config(suite_config.parse_suite_config(text).sections["cgl"])
+
+
+def small_gaussian_2d(eps=0.01, points=128, half_width=32.0):
+    return from_callable(
+        lambda x, y: eps * (4 * math.pi) ** -1 * np.exp(-(x**2 + y**2) / 4),
+        2,
+        points,
+        half_width,
+    )
+
+
+@pytest.mark.parametrize("make", [
+    default_suite_cgl_config,
+    lambda: config(nu=1.0 + 0.3j, lam=-1.0 + 0.5j, dt=0.05, horizon=3.0,
+                   snapshot_every=0.25, u0=wide_gaussian(64.0)),
+    lambda: config(nu=1.0 + 0.5j, lam=-1.0 + 0.2j, p_exponent=3.0, dt=0.05,
+                   horizon=1.0, snapshot_every=0.25, u0=small_gaussian_2d()),
+], ids=["default-suite", "complex-1d", "complex-2d"])
+def test_simulate_is_bit_identical_to_three_transform_steps(make):
+    cfg = make()
+    times, states, boundary_max = simulate_three_transforms(cfg)
+    run = simulate(cfg)
+    assert run.times == times
+    assert len(run.states) == len(states)
+    for t, got, want in zip(times, run.states, states):
+        assert np.array_equal(got.samples, want.samples), t
+    assert run.boundary_max == boundary_max
+
+
+def test_blowup_guard_names_a_state_between_snapshots(monkeypatch):
+    # the third step's forcing lifts u(0.03) to about 10, far past the
+    # limit of 10 x max|u0| ~ 0.028; the kept snapshots are at 0.5 and 1, so
+    # only the guard on the fourth step's predictor sees u(0.03)
+    cfg = config(horizon=1.0, snapshot_every=0.5)
+    assert cfg.dt * 1e3 > 10 * lp_norm(cfg.u0, math.inf)
+    nonlinearity = CGLConfig.nonlinearity
+    calls = []
+
+    def spike(self, samples):
+        calls.append(None)
+        if len(calls) == 3:
+            return np.full_like(samples, 1e3)
+        return nonlinearity(self, samples)
+
+    monkeypatch.setattr(CGLConfig, "nonlinearity", spike)
+    with pytest.raises(BlowupError, match=r"at t = 0\.03:"):
+        simulate(cfg)
+    assert len(calls) == 3
 
 
 def test_defocusing_mass_is_monotone():
@@ -278,6 +364,18 @@ def test_boundary_warning_on_tight_box():
         run = simulate(cfg)
     assert run.boundary_max > DEFAULT_BOUNDARY_LIMIT
     assert len(run.states) == 7
+
+
+def test_weight_range_is_the_float64_range():
+    # on L = 32 the largest weight is 32^m = 2^(5m): 2^1020 is a float64,
+    # 2^1025 is not
+    u = wide_gaussian(32.0)
+    cgl.check_weight_range(u, 204)
+    with pytest.raises(ValueError, match=r"m = 205 .* L = 32:"):
+        cgl.check_weight_range(u, 205)
+    run = simulate(config(u0=u, dt=0.25, horizon=1.0))
+    with pytest.raises(ValueError, match="m = 205"):
+        weighted_records(run, 205, 1.0)
 
 
 def test_nonlinearity_continuous_at_zero():

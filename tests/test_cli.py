@@ -184,6 +184,15 @@ def test_constants_theta_out_of_range(tmp_path, capsys):
     assert not out.exists()  # nothing written on a config error
 
 
+def test_constants_overflowing_m_is_config_error(tmp_path, capsys):
+    out = tmp_path / "constants.csv"
+    code = main(["constants", "--m-list", "1,400", "--theta-list", "0.3",
+                 "--out", str(out)])
+    assert code == 2
+    assert "overflows float64 at m = 400, theta = 0.3\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- kernel-norms
 
 def test_kernel_norms_csv(tmp_path):
@@ -265,6 +274,21 @@ def test_cgl_input_errors_write_nothing(tmp_path, capsys, flags, message):
                  "--out", str(tmp_path / "run")])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cgl_weight_overflow_rejected_before_the_run(tmp_path, capsys, monkeypatch):
+    # 16^300 is past float64's range, so |x|^300 is not finite at x = -16
+    import gwcommute.cli as cli
+
+    def never(cfg):
+        raise AssertionError("ran the simulation")
+
+    monkeypatch.setattr(cli, "simulate", never)
+    code = main(["cgl", "--T", "2", "--m", "300", "--grid", "256,16",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "m = 300 is too large for the box half-width L = 16:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
