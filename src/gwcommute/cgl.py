@@ -13,7 +13,11 @@ its spectrum S, so one step
     S' = e^{dt nu D} S + dt * e^{(dt/2) nu D} FFT f(IFFT(e^{(dt/2) nu D} S))
 
 costs two transforms, the predictor and the forcing; u(t + dt) itself is
-transformed back only at the snapshots kept.  Probes then test
+transformed back only at the snapshots kept.  The step runs in place: S is
+overwritten with S', the transforms and products write into work buffers
+made once per run, and |u| of the predictor is taken once for the sup-norm
+guard and the forcing.  Each kept snapshot gets a fresh array, since its
+GridFunction freezes its samples.  Probes then test
 
     decay:    (1+t)^{(n/2)(1-1/r)} ||u(t)||_r stays bounded,
     weighted: W(t) = sum_{|a|=m} ||x^a u(t)||_q grows no faster than t^{m/2}.
@@ -74,10 +78,20 @@ class CGLConfig:
                 f"||u0||_1 + ||u0||_inf = {size:.4g} exceeds smallness {DEFAULT_SMALLNESS}"
             )
 
-    def nonlinearity(self, samples: np.ndarray) -> np.ndarray:
-        """f(u) = lambda |u|^{p-1} u, continuous at u = 0."""
-        mag = np.abs(samples)
-        return self.lam * mag ** (self.p_exponent - 1.0) * samples
+    def nonlinearity(self, samples: np.ndarray, mag: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """f(u) = lambda |u|^{p-1} u, continuous at u = 0.
+
+        mag, if given, holds |samples| and is overwritten; out, if given,
+        receives f(u) and is returned.  The products keep the order
+        lambda * |u|^{p-1}, then that times u, so the bits do not depend on
+        the buffers.
+        """
+        if mag is None:
+            mag = np.abs(samples)
+        mag **= self.p_exponent - 1.0
+        factor = np.multiply(self.lam, mag, out=out)
+        return np.multiply(factor, samples, out=out)
 
 
 @dataclass(frozen=True)
@@ -109,10 +123,11 @@ class CGLRun:
 
 
 class _Stepper:
-    """Precomputed multipliers for the (nu, dt) of cfg, stepping a spectrum.
+    """Precomputed multipliers and work buffers for the (nu, dt) of cfg.
 
-    advance() maps the spectrum of u(t) to that of u(t + dt) with two
-    transforms; guard() checks u(t)'s predictor on the way.
+    advance() steps a spectrum, the state at time t, to that of t + dt in
+    place, with two transforms and no allocation the size of the grid;
+    guard() checks |u| of the predictor on the way.
     """
 
     def __init__(self, cfg: CGLConfig):
@@ -121,22 +136,37 @@ class _Stepper:
         self.half = heat_multiplier(cfg.u0, cfg.nu * (cfg.dt / 2.0))
         self.kick = cfg.dt * self.half
         self.sup_limit = DEFAULT_BLOWUP_FACTOR * lp_norm(cfg.u0, math.inf)
+        shape = cfg.u0.samples.shape
+        self.predictor = np.empty(shape, dtype=np.complex128)
+        self.forcing = np.empty(shape, dtype=np.complex128)
+        self.mag = np.empty(shape)
 
-    def guard(self, samples: np.ndarray, t: float) -> None:
-        """Raise BlowupError at time t if |samples| exceeds the limit or is not finite."""
+    def guard(self, mag: np.ndarray, t: float) -> None:
+        """Raise BlowupError at time t if max mag, the state's |u|, exceeds
+        the limit or is not finite."""
         # written so that a NaN sup norm trips the guard too
-        if not float(np.max(np.abs(samples))) <= self.sup_limit:
+        if not float(mag.max()) <= self.sup_limit:
             raise BlowupError(
                 f"sup-norm guard tripped at t = {t:g}: |u| exceeded "
                 f"{DEFAULT_BLOWUP_FACTOR:g} x its initial value (or is not finite)"
             )
 
-    def advance(self, spectrum: np.ndarray, t: float) -> np.ndarray:
-        """The spectrum one step after spectrum, the state at time t."""
-        predictor = np.fft.ifftn(self.half * spectrum)
-        self.guard(predictor, t)
-        forcing = np.fft.fftn(self.cfg.nonlinearity(predictor))
-        return self.full * spectrum + self.kick * forcing
+    def advance(self, spectrum: np.ndarray, t: float) -> None:
+        """Overwrite spectrum, the state at time t, with the next step's.
+
+        Every product keeps its operands in the order of
+        full * S + kick * FFT f(IFFT(half * S)): numpy's complex multiply
+        need not give the same bits with its operands swapped.
+        """
+        predictor, forcing, mag = self.predictor, self.forcing, self.mag
+        np.multiply(self.half, spectrum, out=predictor)
+        np.fft.ifftn(predictor, out=predictor)
+        np.abs(predictor, out=mag)
+        self.guard(mag, t)
+        np.fft.fftn(self.cfg.nonlinearity(predictor, mag, out=forcing), out=forcing)
+        np.multiply(self.kick, forcing, out=forcing)
+        np.multiply(self.full, spectrum, out=spectrum)
+        spectrum += forcing
 
 
 def step_count(horizon: float, dt: float) -> int:
@@ -166,10 +196,11 @@ def simulate(cfg: CGLConfig) -> CGLRun:
     states = [cfg.u0]
     boundary_max = boundary_mass_fraction(cfg.u0)
     for k in range(1, steps + 1):
-        spectrum = stepper.advance(spectrum, (k - 1) * cfg.dt)
+        stepper.advance(spectrum, (k - 1) * cfg.dt)
         if k % stride == 0 or k == steps:
+            # a fresh array: the snapshot's GridFunction freezes it
             samples = np.fft.ifftn(spectrum)
-            stepper.guard(samples, k * cfg.dt)
+            stepper.guard(np.abs(samples), k * cfg.dt)
             u = cfg.u0.with_samples(samples)
             times.append(k * cfg.dt)
             states.append(u)
@@ -213,12 +244,20 @@ def check_weight_range(u: GridFunction, m: int) -> None:
 
 
 def weighted_records(run: CGLRun, m: int, q: float) -> list[WeightedRecord]:
-    """W(t) = sum_{|a|=m} ||x^a u(t)||_q along the snapshots."""
+    """W(t) = sum_{|a|=m} ||x^a u(t)||_q along the snapshots.
+
+    A W(t) that is not finite (the weights fit in float64, their q-th
+    powers need not) raises ValueError naming m, q and t.
+    """
     check_weight_range(run.config.u0, m)
     level = enumerate_level(run.config.u0.dim, m)
     records = []
     for t, u in zip(run.times, run.states):
-        w = math.fsum(lp_norm(weight_multiply(u, alpha), q) for alpha in level)
+        with np.errstate(over="ignore"):
+            w = math.fsum(lp_norm(weight_multiply(u, alpha), q) for alpha in level)
+        if not math.isfinite(w):
+            raise ValueError(f"W(t) = sum ||x^a u(t)||_q overflows float64 at m = {m}, "
+                             f"q = {q:g}, t = {t:g}")
         records.append(WeightedRecord(t, w, w / (1.0 + t ** (m / 2.0))))
     return records
 

@@ -242,8 +242,10 @@ def _run_cgl(section: config.CGLSection, prefix: str, tag: str):
     except BlowupError as exc:  # the data was not small enough for this lambda
         raise config.ConfigError(str(exc)) from exc
     decay = decay_records(run)
-    weighted = weighted_records(run, section.m, section.q)
+    # W(t) can overflow where the weights fit; the fit needs snapshots in
+    # its window
     with config.as_config_error():
+        weighted = weighted_records(run, section.m, section.q)
         slope = fit_loglog_slope(weighted, cfg.horizon / 4.0, cfg.horizon)
     decay_rows = [
         [format_value(rec.t), format_exponent(rec.r), format_value(rec.value)]

@@ -95,11 +95,21 @@ def _shared_factor(n: int, m: int, r: float, theta: float) -> float:
             f"the bracket (sqrt(4m/(e cos theta)) + 1)^m - 1 of A and A~ overflows "
             f"float64 at m = {m}, theta = {theta:g}"
         ) from None
-    return gauss * kernel_factor * bracket
+    return _check_finite(gauss * kernel_factor * bracket, "A~", n, m, theta)
+
+
+def _check_finite(value: float, name: str, n: int, m: int, theta: float) -> float:
+    """value, or a ValueError naming the constant when it overflowed float64."""
+    if not math.isfinite(value):
+        raise ValueError(f"the constant {name} overflows float64 at n = {n}, m = {m}, "
+                         f"theta = {theta:g}")
+    return value
 
 
 def constant_A(n: int, m: int, r: float, theta: float) -> float:
-    return level_count(n, m) * _shared_factor(n, m, r, theta)
+    """A = #{|a| = m} A~; a ValueError when it overflows float64."""
+    return _check_finite(level_count(n, m) * _shared_factor(n, m, r, theta),
+                         "A = #{|a| = m} A~", n, m, theta)
 
 
 def constant_A_tilde(n: int, m: int, r: float, theta: float) -> float:

@@ -7,9 +7,12 @@ through heat_multiplier, so w = 0 and re w = 0 are rejected everywhere.
 The spectral path is diagonal in the discrete Fourier basis:
 heat_multiplier builds exp(-w |xi|^2), apply_fourier flows one field
 through it, and heat_commutator flows both terms of
-[eta, e^{w*Laplacian}] phi through one multiplier.  The commutators with
-x^a, |x|^m and a sampled eta all call heat_commutator; the CGL stepper
-takes its multipliers from heat_multiplier.  convolve_weighted_kernel is
+[eta, e^{w*Laplacian}] phi through one multiplier.  The flows run in
+place: each field is transformed, multiplied and transformed back in one
+buffer (numpy.fft's out=), so a commutator holds two fields beside its
+multiplier.  The commutators with x^a, |x|^m and a sampled eta all call
+heat_commutator; the CGL stepper takes its multipliers from
+heat_multiplier.  convolve_weighted_kernel is
 the quadrature oracle; at beta = 0 it is the plain sum
 
     (e^{w*Laplacian} phi)(x) ~ h^n sum_y G_w(x - y) phi(y)
@@ -142,21 +145,28 @@ def apply_fourier(phi: GridFunction, omega) -> GridFunction:
     multiplier = heat_multiplier(phi, omega)
     spectrum = np.fft.fftn(phi.samples)
     spectrum *= multiplier
-    return phi.with_samples(np.fft.ifftn(spectrum))
+    return phi.with_samples(np.fft.ifftn(spectrum, out=spectrum))
 
 
 def heat_commutator(weight: np.ndarray, omega, phi: GridFunction) -> GridFunction:
     """[eta, e^{w*Laplacian}] phi = eta e^{wD}phi - e^{wD}(eta phi).
 
     weight holds the samples of eta and broadcasts against phi.samples.
-    Both flows share one multiplier, which checks w.
+    Both flows share one multiplier, which checks w.  Each term is
+    transformed, flowed and inverted in its own buffer, and the difference
+    is formed in the first.
     """
     multiplier = heat_multiplier(phi, omega)
     flowed = np.fft.fftn(phi.samples)
     flowed *= multiplier
-    weighted = np.fft.fftn(weight * phi.samples)
+    np.fft.ifftn(flowed, out=flowed)
+    weighted = np.multiply(weight, phi.samples)
+    np.fft.fftn(weighted, out=weighted)
     weighted *= multiplier
-    return phi.with_samples(weight * np.fft.ifftn(flowed) - np.fft.ifftn(weighted))
+    np.fft.ifftn(weighted, out=weighted)
+    np.multiply(weight, flowed, out=flowed)
+    flowed -= weighted
+    return phi.with_samples(flowed)
 
 
 def derivative_multiplier(phi: GridFunction, delta: MultiIndex):

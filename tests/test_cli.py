@@ -193,6 +193,19 @@ def test_constants_overflowing_m_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("m, name", [(170, "A = #{|a| = m} A~"), (172, "A~")])
+def test_constants_overflowing_product_is_config_error(tmp_path, capsys, m, name):
+    # the bracket fits in float64 at these m; the constant's product does not
+    # (m = 169 gives A = 1.6e307)
+    out = tmp_path / "constants.csv"
+    code = main(["constants", "--n", "3", "--m-list", f"169,{m}", "--r-list", "1",
+                 "--theta-list", "1.5", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"the constant {name} overflows float64 at n = 3, m = {m}, theta = 1.5\n" in err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- kernel-norms
 
 def test_kernel_norms_csv(tmp_path):
@@ -275,6 +288,22 @@ def test_cgl_input_errors_write_nothing(tmp_path, capsys, flags, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore:boundary mass fraction")
+def test_cgl_weighted_norm_overflow_is_config_error(tmp_path, capsys):
+    # 16^255 is a float64, so the weights pass their range check; with q = 2
+    # the norm squares them past it, while q = 1 keeps W(t) finite
+    code = main(["cgl", "--T", "2", "--m", "255", "--q", "2", "--grid", "256,16",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert ("W(t) = sum ||x^a u(t)||_q overflows float64 at m = 255, q = 2, t = 0\n"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+    code = main(["cgl", "--T", "2", "--m", "255", "--q", "1", "--grid", "256,16",
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert "pass=true" in capsys.readouterr().out
 
 
 def test_cgl_weight_overflow_rejected_before_the_run(tmp_path, capsys, monkeypatch):

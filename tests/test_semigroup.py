@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -15,7 +16,16 @@ from gwcommute.commutator import (
     lemma_B2_identity,
 )
 from gwcommute.estimates import ExponentTriple, radial_commutator, verify_theorem_1_2
-from gwcommute.grid import GridFunction, coordinates, from_callable, lp_norm, rel_l2_error, weight_multiply
+from gwcommute.grid import (
+    GridFunction,
+    coordinates,
+    from_callable,
+    lp_norm,
+    monomial_weight,
+    radial_weight,
+    rel_l2_error,
+    weight_multiply,
+)
 from gwcommute.hermite import gaussian_kernel_point, gaussian_log_prefactor
 from gwcommute.multiindex import MultiIndex, enumerate_up_to, zero
 from gwcommute.semigroup import (
@@ -316,6 +326,63 @@ def test_commutators_match_two_flow_reference_bit_for_bit(dim, points, alpha, om
     ]
     for got, weight in cases:
         assert np.array_equal(got.samples, commutator_reference(weight, omega, phi))
+
+
+def heat_commutator_allocating(weight, omega, phi):
+    """heat_commutator as it was before its flows ran in place: every
+    transform, product and the difference make a fresh array."""
+    multiplier = heat_multiplier(phi, omega)
+    flowed = np.fft.fftn(phi.samples)
+    flowed *= multiplier
+    weighted = np.fft.fftn(weight * phi.samples)
+    weighted *= multiplier
+    return weight * np.fft.ifftn(flowed) - np.fft.ifftn(weighted)
+
+
+@pytest.mark.parametrize("dim, points, alpha", [(1, 512, (3,)), (2, 128, (2, 1)),
+                                                (2, 128, (0, 3))])
+@pytest.mark.parametrize("omega", [0.25, 1.0, 1.0 + 0.99j, 2.0 - 1.0j])
+def test_heat_commutator_in_place_is_bit_identical(dim, points, alpha, omega):
+    # The real weights the library passes: open-mesh x^a, which broadcasts
+    # against phi (a column for alpha = (0, 3)), |x|^m, and a real eta
+    # stored as complex, as the Lipschitz harness samples it.
+    phi = random_grid(dim, points, 8.0)
+    mesh = coordinates(dim, points, 8.0)
+    real_eta = np.broadcast_to(np.sin(mesh[0]), phi.samples.shape).astype(np.complex128)
+    for weight in (monomial_weight(phi, MultiIndex(alpha)), radial_weight(phi, 3), real_eta):
+        got = heat_commutator(weight, omega, phi)
+        assert np.array_equal(got.samples, heat_commutator_allocating(weight, omega, phi))
+    # A complex eta takes eta * flow in that order at every size.  The
+    # allocating version's `eta * ifftn(...)` does so only below 256 KiB:
+    # above it numpy reuses the temporary transform as `ifftn(...) *= eta`,
+    # and complex products differ in the last bit with their order.
+    eta = random_grid(dim, points, 8.0, seed=5).samples
+    got = heat_commutator(eta, omega, phi)
+    assert np.array_equal(got.samples, commutator_reference(eta, omega, phi))
+
+
+def traced_peak(fn, *args):
+    """Bytes allocated above the starting level while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("omega", [0.25, 1.0 + 0.99j])
+def test_heat_commutator_peak_memory(omega):
+    # The multiplier and the two terms' buffers are the only N^2 complex
+    # fields alive at once: each term is transformed, flowed and inverted in
+    # its own buffer and the difference formed in the first.  Measured at
+    # N = 256 for both w: 3.13 fields (3.28 MB); the allocating version
+    # measured 6.00.  The bound adds half a field to the three.
+    phi = random_grid(2, 256, 8.0)
+    weight = monomial_weight(phi, MultiIndex((2, 1)))
+    used = traced_peak(heat_commutator, weight, omega, phi)
+    assert used <= 3.5 * phi.samples.nbytes, used
 
 
 def test_each_commutator_builds_one_multiplier(monkeypatch):
