@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridFunction, boundary_mass_fraction, coordinates
-from .multiindex import unit
+from .grid import GridFunction, boundary_mass_fraction, check_positive, coordinates
+from .multiindex import check_order, unit
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ class GaussianComponent:
     amplitude: complex = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        check_positive(self.sigma, "sigma")
 
     def center_in(self, dim: int) -> tuple[float, ...]:
         """Pad or truncate the stored center to the requested dimension."""
@@ -67,8 +66,9 @@ class TestFunctionSpec:
             raise ValueError("gaussian kind takes exactly one component")
         if self.kind == "gaussian-mixture" and not self.components:
             raise ValueError("mixture needs at least one component")
-        if self.kind == "bandlimited" and (self.cutoff < 1 or self.envelope_sigma <= 0):
-            raise ValueError("bandlimited needs cutoff >= 1 and an envelope")
+        if self.kind == "bandlimited":
+            check_order(self.cutoff, "cutoff")
+            check_positive(self.envelope_sigma, "envelope sigma")
 
     def realize(self, dim: int, points: int, half_width: float) -> GridFunction:
         if self.kind in ("gaussian", "gaussian-mixture"):
@@ -173,8 +173,7 @@ def mollified_weight(j: int, eps: float, dim: int, points: int,
     + 1 <= 2, independent of eps.  Grid maxima underestimate the sup and must
     not be used in its place.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_positive(eps, "eps")
     unit(dim, j)  # the axis rule
     mesh = coordinates(dim, points, half_width)
     envelope = np.exp(-eps * sum(np.square(c) for c in mesh)).astype(np.complex128)

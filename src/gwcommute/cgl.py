@@ -33,8 +33,10 @@ import numpy as np
 from .grid import (
     GridFunction,
     boundary_mass_fraction,
+    check_positive,
     lp_norm,
     monomial_weight,
+    reciprocal,
     weight_multiply,
 )
 from .multiindex import enumerate_level
@@ -50,14 +52,13 @@ class BlowupError(RuntimeError):
 
 
 def check_run(nu: complex, p_exponent: float, dim: int, dt: float, horizon: float) -> None:
-    """The equation's rule: finite nu with re nu > 0, p > 1 + 2/n, and a finite
-    positive step and horizon."""
+    """The equation's rule: finite nu with re nu > 0, p > 1 + 2/n, a finite
+    positive step and horizon, and a horizon that is a whole multiple of the step."""
     check_omega(nu, "nu")
     if not p_exponent > 1.0 + 2.0 / dim:
         raise ValueError(f"cgl needs p > 1 + 2/n = {1.0 + 2.0 / dim}, got {p_exponent}")
-    for name, value in (("dt", dt), ("horizon", horizon)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"cgl {name} must be positive and finite, got {value}")
+    check_positive(dt, "cgl dt")
+    step_count(check_positive(horizon, "cgl horizon"), dt)
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ def simulate(cfg: CGLConfig) -> CGLRun:
 
 
 def decay_exponent(n: int, r: float) -> float:
-    return (n / 2.0) * (1.0 - (0.0 if math.isinf(r) else 1.0 / r))
+    return (n / 2.0) * (1.0 - reciprocal(r))
 
 
 def decay_records(run: CGLRun, r_values=(1.0, 2.0, math.inf)) -> list[DecayRecord]:

@@ -19,12 +19,12 @@ construction, that the values make a valid harness input.  Both raise
 ConfigError (exit code 2).
 
 Each rule the library shares is defined once, next to the object it checks
-(grid.check_grid, grid.check_exponent, multiindex.check_order,
-multiindex.check_index, semigroup.check_omega, semigroup.check_theta,
-cgl.check_run, catalog.get_entry); this module calls it and turns its
-ValueError into a ConfigError through as_config_error(), or get_entry's
-KeyError into one with the same message.  The rules kept here are the
-harnesses' own: non-empty lists, tolerance > 0 and a CGL horizon >= 2.
+(grid.check_grid, grid.check_exponent, grid.check_positive,
+multiindex.check_order, multiindex.check_index, semigroup.check_omega,
+semigroup.check_theta, cgl.check_run, catalog.get_entry); this module calls
+it and turns its ValueError into a ConfigError through as_config_error(), or
+get_entry's KeyError into one with the same message.  The harnesses' own
+rules are kept here: non-empty lists and a CGL horizon >= 2.
 """
 from __future__ import annotations
 
@@ -34,10 +34,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .catalog import GaussianComponent, get_entry
-from .cgl import check_run, step_count
+from .cgl import check_run
 from .commutator import IDENTITY_TOL
 from .estimates import ExponentTriple
-from .grid import check_exponent, check_grid
+from .grid import check_exponent, check_grid, check_positive
 from .multiindex import MultiIndex, check_index, check_order
 from .semigroup import check_omega, check_oracle_grid, check_theta
 
@@ -141,7 +141,7 @@ def _check_filled(section: str, **lists) -> None:
             raise ConfigError(f"[{section}] needs at least one of {key}")
 
 
-def _check_positive(name: str, values) -> None:
+def _check_orders(name: str, values) -> None:
     _check_each(lambda value: check_order(value, name), values)
 
 
@@ -172,11 +172,10 @@ class IdentitySection:
                       testfns=self.testfns)
         _check_inputs(self)
         _check_each(lambda alpha: check_index(alpha, self.dim), self.alphas)
-        _check_positive("|alpha|", [alpha.order for alpha in self.alphas])
+        _check_orders("|alpha|", [alpha.order for alpha in self.alphas])
         with as_config_error():
             check_oracle_grid(self.dim, self.points)
-        if not 0.0 < self.tolerance < math.inf:
-            raise ConfigError(f"tolerance must be finite and positive, got {self.tolerance}")
+            check_positive(self.tolerance, "tolerance")
 
 
 @dataclass(frozen=True)
@@ -195,7 +194,7 @@ class EstimateSection:
         _check_filled("estimate", m_values=self.m_values, pq_pairs=self.pq_pairs,
                       omegas=self.omegas, testfns=self.testfns)
         _check_inputs(self)
-        _check_positive("estimate m_values", self.m_values)
+        _check_orders("estimate m_values", self.m_values)
         for p, q in self.pq_pairs:
             with as_config_error():
                 ExponentTriple(p, q)
@@ -209,10 +208,10 @@ class ConstantsSection:
     thetas: tuple[float, ...]
 
     def __post_init__(self):
-        _check_positive("dim", [self.dim])
+        _check_orders("dim", [self.dim])
         _check_filled("constants", m_values=self.m_values, r_values=self.r_values,
                       thetas=self.thetas)
-        _check_positive("constants m_values", self.m_values)
+        _check_orders("constants m_values", self.m_values)
         _check_each(check_exponent, self.r_values)
         _check_each(check_theta, self.thetas)
 
@@ -228,7 +227,7 @@ class KernelNormsSection:
     def __post_init__(self):
         _check_filled("kernel-norms", betas=self.betas, r_values=self.r_values,
                       thetas=self.thetas)
-        _check_positive("kernel |beta|", [beta.order for beta in self.betas])
+        _check_orders("kernel |beta|", [beta.order for beta in self.betas])
         _check_each(lambda beta: check_grid(beta.dim, self.points, self.half_width),
                     self.betas)
         _check_each(check_exponent, self.r_values)
@@ -255,9 +254,8 @@ class CGLSection:
             check_grid(1, self.points, self.half_width)
             if not self.horizon >= 2.0:
                 raise ConfigError("cgl horizon must be >= 2 (probes anchor at t = 1)")
-            step_count(self.horizon, self.dt)
             GaussianComponent(sigma=self.sigma, amplitude=self.eps)
-        _check_positive("cgl m", [self.m])
+        _check_orders("cgl m", [self.m])
 
 
 @dataclass(frozen=True)

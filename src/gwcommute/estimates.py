@@ -31,19 +31,14 @@ from dataclasses import dataclass
 from .commutator import commutator_direct, function_commutator
 from .grid import (
     GridFunction,
-    check_exponent,
     lp_norm,
     radial_weight,
+    reciprocal,
     weight_multiply_radial,
 )
 from .multiindex import MultiIndex, check_order, enumerate_level, level_count, zero
 from .reporting import EstimateReport, format_exponent, format_value
 from .semigroup import check_omega, check_theta, heat_commutator, weighted_kernel_grid
-
-
-def _reciprocal(p: float) -> float:
-    """1/p with the convention 1/inf = 0."""
-    return 0.0 if check_exponent(p) == math.inf else 1.0 / p
 
 
 @dataclass(frozen=True)
@@ -54,18 +49,18 @@ class ExponentTriple:
     q: float
 
     def __post_init__(self):
-        _reciprocal(self.p)
-        _reciprocal(self.q)
+        reciprocal(self.p)
+        reciprocal(self.q)
         if self.inv_q < self.inv_p:
             raise ValueError(f"need q <= p, got q={self.q}, p={self.p}")
 
     @property
     def inv_p(self) -> float:
-        return _reciprocal(self.p)
+        return reciprocal(self.p)
 
     @property
     def inv_q(self) -> float:
-        return _reciprocal(self.q)
+        return reciprocal(self.q)
 
     @property
     def inv_r(self) -> float:
@@ -77,12 +72,12 @@ class ExponentTriple:
         return math.inf if inv == 0.0 else 1.0 / inv
 
 
-def _shared_factor(n: int, m: int, r: float, theta: float) -> float:
-    """The theta- and r-dependent part common to A and A~."""
+def constant_A_tilde(n: int, m: int, r: float, theta: float) -> float:
+    """A~, the theta- and r-dependent factor of A; a ValueError when it overflows float64."""
     check_order(m, "m")
     check_order(n, "dim")
     cos_t = math.cos(check_theta(theta))
-    inv_r = _reciprocal(r)
+    inv_r = reciprocal(r)
     gauss = (4.0 * math.pi) ** (-(n / 2.0) * (1.0 - inv_r))
     if inv_r == 0.0:
         kernel_factor = 1.0
@@ -108,12 +103,8 @@ def _check_finite(value: float, name: str, n: int, m: int, theta: float) -> floa
 
 def constant_A(n: int, m: int, r: float, theta: float) -> float:
     """A = #{|a| = m} A~; a ValueError when it overflows float64."""
-    return _check_finite(level_count(n, m) * _shared_factor(n, m, r, theta),
+    return _check_finite(level_count(n, m) * constant_A_tilde(n, m, r, theta),
                          "A = #{|a| = m} A~", n, m, theta)
-
-
-def constant_A_tilde(n: int, m: int, r: float, theta: float) -> float:
-    return _shared_factor(n, m, r, theta)
 
 
 def sup_gaussian_moment(k: int, theta: float) -> float:
@@ -212,8 +203,8 @@ def verify_lipschitz_commutator(eta: GridFunction, grad_bound: float,
     w = check_omega(omega)
     theta = math.atan2(w.imag, w.real)
     n = phi.dim
-    if grad_bound < 0:
-        raise ValueError("Lipschitz constant must be >= 0")
+    if not 0.0 <= grad_bound < math.inf:
+        raise ValueError(f"Lipschitz constant must be finite and >= 0, got {grad_bound!r}")
     lhs = lp_norm(function_commutator(eta, w, phi), triple.p)
     constant = constant_A(n, 1, triple.r, theta)
     mod = abs(w)

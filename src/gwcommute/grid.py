@@ -26,8 +26,7 @@ def check_grid(dim: int, points: int, half_width: float) -> None:
     check_order(dim, "dim")
     if points < 8 or points & (points - 1):
         raise ValueError(f"grid points must be a power of two >= 8, got {points}")
-    if not 0.0 < half_width < math.inf:
-        raise ValueError(f"grid half-width must be finite and positive, got {half_width!r}")
+    check_positive(half_width, "grid half-width")
 
 
 def _axis(points: int, half_width: float) -> np.ndarray:
@@ -50,6 +49,18 @@ def check_exponent(p: float) -> float:
     if not 1.0 <= p <= math.inf:
         raise ValueError(f"exponent must lie in [1, inf], got {p}")
     return p
+
+
+def reciprocal(p: float) -> float:
+    """1/p for an exponent p, with the convention 1/inf = 0."""
+    return 0.0 if check_exponent(p) == math.inf else 1.0 / p
+
+
+def check_positive(value: float, name: str) -> float:
+    """The scale rule: 0 < value < inf, nan fails."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,12 @@ def test_horizon_must_be_step_multiple():
         simulate(config(dt=0.3, horizon=1.0))
 
 
+def test_config_checks_the_step_rule_at_construction():
+    # the run rule owns the step rule, so no run is needed to find the fault
+    with pytest.raises(ValueError, match="horizon 1.0 must be an integer multiple of dt 0.03"):
+        config(dt=0.03, horizon=1.0)
+
+
 def test_zero_nonlinearity_step_is_pure_semigroup():
     # complex-typed nu: stepper and apply_fourier build the multiplier through
     # the same complex-exp kernel, so the linear path is reproduced bitwise

@@ -1,5 +1,6 @@
 """Suite-config parsing: value syntax, validation, and the packaged default."""
 import dataclasses
+import importlib
 import math
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from importlib import resources
 
+from gwcommute.catalog import GaussianComponent, TestFunctionSpec, mollified_weight
 from gwcommute.cgl import CGLConfig
 from gwcommute.config import (
     ConfigError,
@@ -336,11 +338,11 @@ def test_identity_rejects_non_finite_tolerance(value):
     ("kernel_norms", {"thetas": ()}, "thetas"),
     ("cgl", {"nu": complex(-1, 0)}, "positive real part"),
     ("cgl", {"m": 0}, "cgl m must be >= 1"),
-    ("cgl", {"dt": 0.0}, "dt must be positive"),
+    ("cgl", {"dt": 0.0}, "dt must be finite"),
     ("cgl", {"horizon": 1.5}, "horizon must be >= 2"),
     ("cgl", {"dt": 0.03}, "integer multiple of dt"),
     ("cgl", {"p_exponent": 3.0}, "p > 1"),
-    ("cgl", {"sigma": 0.0}, "sigma must be positive"),
+    ("cgl", {"sigma": 0.0}, "sigma must be finite"),
     ("constants", {"r_values": (0.5,)}, "exponent must lie in"),
     ("kernel_norms", {"r_values": (math.nan,)}, "exponent must lie in"),
     ("identity", {"points": 12}, "power of two"),
@@ -419,6 +421,43 @@ def test_cgl_rule_library_and_config_agree(changes):
         CGLConfig(u0=GridFunction(1, 8, 2.0, np.zeros(8)), **{**run, **changes})
     with pytest.raises(ConfigError):
         dataclasses.replace(default_section("cgl"), **changes)
+
+
+_U0 = GridFunction(1, 8, 2.0, np.zeros(8))
+_RUN = dict(nu=complex(1, 0), lam=complex(-1, 0), p_exponent=4.0, dt=0.01, horizon=2.0)
+# The seven scales, each built with one bad value; the key is the name the
+# scale rule's message carries.
+SCALE_ENTRIES = {
+    "grid half-width": lambda v: GridFunction(1, 8, v, np.zeros(8)),
+    "cgl dt": lambda v: CGLConfig(u0=_U0, **{**_RUN, "dt": v}),
+    "cgl horizon": lambda v: CGLConfig(u0=_U0, **{**_RUN, "horizon": v}),
+    "tolerance": lambda v: dataclasses.replace(default_section("identity"), tolerance=v),
+    "sigma": lambda v: GaussianComponent(sigma=v),
+    "envelope sigma": lambda v: TestFunctionSpec(id="x", kind="bandlimited", cutoff=1,
+                                                 envelope_sigma=v),
+    "eps": lambda v: mollified_weight(1, v, 1, 8, 2.0),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", list(SCALE_ENTRIES))
+def test_scale_rule_at_every_entry(name, value):
+    error = ConfigError if name == "tolerance" else ValueError
+    with pytest.raises(error) as info:
+        SCALE_ENTRIES[name](value)
+    assert str(info.value) == f"{name} must be finite and positive, got {value!r}"
+
+
+def test_readme_input_rules_name_live_functions():
+    # README's rules table names each rule as `module.name`; a rule that
+    # moves or is renamed without the table fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Input rules\n", 1)[1].split("\n#", 1)[0]
+    names = set(re.findall(r"`([a-z]+)\.([A-Za-z_]\w*)`", section))
+    assert len(names) >= 12, sorted(names)
+    missing = [f"{module}.{attr}" for module, attr in sorted(names)
+               if not hasattr(importlib.import_module(f"gwcommute.{module}"), attr)]
+    assert not missing
 
 
 @pytest.mark.parametrize("theta", [math.pi / 2, -math.pi / 2, math.nan])

@@ -227,6 +227,14 @@ def test_lipschitz_commutator_bound():
         verify_lipschitz_commutator(eta, -1.0, ExponentTriple(1.0, 1.0), 1.0, phi)
 
 
+@pytest.mark.parametrize("bound", [math.nan, math.inf])
+def test_lipschitz_bound_must_be_finite(bound):
+    phi = gaussian_grid(0.5)
+    eta = phi.with_samples(np.sin(phi.axis()).astype(np.complex128))
+    with pytest.raises(ValueError, match=f"Lipschitz constant must be finite and >= 0, got {bound!r}"):
+        verify_lipschitz_commutator(eta, bound, ExponentTriple(1.0, 1.0), 1.0, phi)
+
+
 def test_lipschitz_constant_eta_gives_zero_lhs():
     phi = gaussian_grid(0.5)
     # eta == 1.0 exactly: multiplying by one is bitwise exact, so the two
