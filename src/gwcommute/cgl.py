@@ -16,7 +16,8 @@ costs two transforms, the predictor and the forcing; u(t + dt) itself is
 transformed back only at the snapshots kept.  The step runs in place: S is
 overwritten with S', the transforms and products write into work buffers
 made once per run, and |u| of the predictor is taken once for the sup-norm
-guard and the forcing.  Each kept snapshot gets a fresh array, since its
+guard and the forcing.  A snapshot is kept every SNAPSHOT_INTERVAL = 0.5
+time units and at the horizon; each gets a fresh array, since its
 GridFunction freezes its samples.  Probes then test
 
     decay:    (1+t)^{(n/2)(1-1/r)} ||u(t)||_r stays bounded,
@@ -45,6 +46,12 @@ from .semigroup import check_omega, heat_multiplier
 DEFAULT_SMALLNESS = 0.05
 DEFAULT_BLOWUP_FACTOR = 10.0
 DEFAULT_BOUNDARY_LIMIT = 1e-10
+# simulate keeps a snapshot every SNAPSHOT_INTERVAL time units; the decay
+# probe tracks ||u(t)||_r for each r in DECAY_EXPONENTS and holds each
+# series on t >= 1 within DECAY_FACTOR times its value at t = 1
+SNAPSHOT_INTERVAL = 0.5
+DECAY_EXPONENTS = (1.0, 2.0, math.inf)
+DECAY_FACTOR = 2.0
 
 
 class BlowupError(RuntimeError):
@@ -69,7 +76,6 @@ class CGLConfig:
     u0: GridFunction
     dt: float
     horizon: float
-    snapshot_every: float = 0.5
 
     def __post_init__(self):
         check_run(self.nu, self.p_exponent, self.u0.dim, self.dt, self.horizon)
@@ -115,12 +121,6 @@ class CGLRun:
     times: list[float] = field(repr=False)
     states: list[GridFunction] = field(repr=False)
     boundary_max: float = 0.0
-
-    def state_at(self, t: float) -> GridFunction:
-        for tk, u in zip(self.times, self.states):
-            if abs(tk - t) < 1e-9:
-                return u
-        raise KeyError(f"no snapshot at t = {t}")
 
 
 class _Stepper:
@@ -171,15 +171,17 @@ class _Stepper:
 
 
 def step_count(horizon: float, dt: float) -> int:
-    """Steps of size dt that reach the horizon, which must be a whole multiple of dt."""
-    steps = round(horizon / dt)
-    if abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
+    """Steps of size dt that reach the horizon, which must be a whole multiple
+    of dt.  A horizon / dt past float range (a subnormal dt) is no multiple."""
+    ratio = horizon / dt
+    if not (math.isfinite(ratio)
+            and abs(round(ratio) * dt - horizon) <= 1e-9 * max(1.0, horizon)):
         raise ValueError(f"horizon {horizon} must be an integer multiple of dt {dt}")
-    return steps
+    return round(ratio)
 
 
 def simulate(cfg: CGLConfig) -> CGLRun:
-    """Integrate to the horizon, keeping snapshots every cfg.snapshot_every.
+    """Integrate to the horizon, keeping snapshots every SNAPSHOT_INTERVAL.
 
     The mass fraction at grid distance >= L/2 from the origin is tracked per
     snapshot; the run warns (once) if it ever exceeds DEFAULT_BOUNDARY_LIMIT.
@@ -190,7 +192,7 @@ def simulate(cfg: CGLConfig) -> CGLRun:
     its predictor e^{(dt/2) nu D} u(t), and each kept snapshot directly.
     """
     steps = step_count(cfg.horizon, cfg.dt)
-    stride = max(1, round(cfg.snapshot_every / cfg.dt))
+    stride = max(1, round(SNAPSHOT_INTERVAL / cfg.dt))
     stepper = _Stepper(cfg)
     spectrum = np.fft.fftn(cfg.u0.samples)
     times = [0.0]
@@ -221,11 +223,11 @@ def decay_exponent(n: int, r: float) -> float:
     return (n / 2.0) * (1.0 - reciprocal(r))
 
 
-def decay_records(run: CGLRun, r_values=(1.0, 2.0, math.inf)) -> list[DecayRecord]:
-    """(1+t)^{(n/2)(1-1/r)} ||u(t)||_r along the snapshots."""
+def decay_records(run: CGLRun) -> list[DecayRecord]:
+    """(1+t)^{(n/2)(1-1/r)} ||u(t)||_r along the snapshots, r in DECAY_EXPONENTS."""
     n = run.config.u0.dim
     records = []
-    for r in r_values:
+    for r in DECAY_EXPONENTS:
         exponent = decay_exponent(n, r)
         for t, u in zip(run.times, run.states):
             records.append(DecayRecord(t, r, (1.0 + t) ** exponent * lp_norm(u, r)))
@@ -263,14 +265,14 @@ def weighted_records(run: CGLRun, m: int, q: float) -> list[WeightedRecord]:
     return records
 
 
-def decay_bounded(records: list[DecayRecord], factor: float = 2.0) -> bool:
-    """Each r-series bounded on t >= 1 by factor times its value at t = 1."""
+def decay_bounded(records: list[DecayRecord]) -> bool:
+    """Each r-series bounded on t >= 1 by DECAY_FACTOR times its value at t = 1."""
     by_r: dict[float, list[DecayRecord]] = {}
     for rec in records:
         by_r.setdefault(rec.r, []).append(rec)
     for series in by_r.values():
         anchor = next(rec.value for rec in series if rec.t >= 1.0)
-        if any(rec.value > factor * anchor for rec in series if rec.t >= 1.0):
+        if any(rec.value > DECAY_FACTOR * anchor for rec in series if rec.t >= 1.0):
             return False
     return True
 

@@ -31,7 +31,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .grid import GridFunction, lp_norm, monomial_weight, rel_l2_error, weight_multiply
+from .grid import (
+    NORM_FLOOR,
+    GridFunction,
+    lp_norm,
+    monomial_weight,
+    rel_l2_error,
+    weight_multiply,
+)
 from .multiindex import (
     MultiIndex,
     check_index,
@@ -52,7 +59,6 @@ from .semigroup import (
 )
 
 IDENTITY_TOL = 1e-6
-NORM_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -308,7 +314,7 @@ def lemma_B2_identity(
     rhs = evaluate_R_convolution(alpha + e_j, w, phi) - evaluate_R_convolution(
         e_j, w, weight_multiply(phi, alpha)
     )
-    rel = rel_l2_error(rhs, lhs, NORM_FLOOR)
+    rel = rel_l2_error(rhs, lhs)
     params = [("alpha", alpha.to_str()), ("j", str(j))] + _omega_params(w)
     params += [("pair", "shift-identity"), ("testfn", testfn)]
     return EstimateReport(check="shift-identity", lhs=rel, rhs=tol, params=tuple(params))

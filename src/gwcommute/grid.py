@@ -20,6 +20,10 @@ import numpy as np
 
 from .multiindex import MultiIndex, check_index, check_order
 
+# The least denominator of a relative L^2 discrepancy: a zero reference
+# gives the raw numerator scale instead of a division by zero.
+NORM_FLOOR = 1e-30
+
 
 def check_grid(dim: int, points: int, half_width: float) -> None:
     """The grid rule: n >= 1, N a power of two >= 8, L finite and positive."""
@@ -125,13 +129,6 @@ class GridFunction:
     __rmul__ = __mul__
 
 
-def from_callable(fn, dim: int, points: int, half_width: float) -> GridFunction:
-    """Sample fn(x_1, ..., x_n) (numpy-vectorized) on the grid."""
-    values = fn(*coordinates(dim, points, half_width))
-    samples = np.broadcast_to(values, (points,) * dim).astype(np.complex128)
-    return GridFunction(dim, points, half_width, samples)
-
-
 def lp_norm(phi: GridFunction, p: float) -> float:
     """Grid L^p norm: (h^n sum |phi|^p)^(1/p) for finite p, max |phi| for p = inf."""
     if check_exponent(p) == math.inf:
@@ -144,10 +141,10 @@ def lp_norm(phi: GridFunction, p: float) -> float:
     return float((phi.cell_volume * (mags**p).sum()) ** (1.0 / p))
 
 
-def rel_l2_error(result: GridFunction, reference: GridFunction, floor: float = 1e-30) -> float:
-    """Relative L^2 discrepancy, denominated by max(||reference||_2, floor)."""
+def rel_l2_error(result: GridFunction, reference: GridFunction) -> float:
+    """Relative L^2 discrepancy, denominated by max(||reference||_2, NORM_FLOOR)."""
     reference.require_conformable(result)
-    return lp_norm(result - reference, 2.0) / max(lp_norm(reference, 2.0), floor)
+    return lp_norm(result - reference, 2.0) / max(lp_norm(reference, 2.0), NORM_FLOOR)
 
 
 def monomial_weight(phi: GridFunction, alpha: MultiIndex) -> np.ndarray:

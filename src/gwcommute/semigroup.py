@@ -53,7 +53,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import GridFunction, coordinates
-from .hermite import gaussian_log_prefactor
 from .multiindex import MultiIndex, check_index
 
 # Work guard for the quadrature oracle: it exists for cross-validation, not
@@ -81,6 +80,13 @@ def check_theta(theta: float) -> float:
             f"theta = {theta} outside (-pi/2, pi/2); the constants diverge there"
         )
     return theta
+
+
+def gaussian_log_prefactor(omega: complex, dim: int) -> complex:
+    """log (4 pi w)^{-n/2} via the principal log of 4 pi w, the analytic
+    continuation from w > 0 across re w > 0; angle atan2(im w, re w)."""
+    theta = math.atan2(omega.imag, omega.real)
+    return -0.5 * dim * (math.log(4.0 * math.pi * abs(omega)) + 1j * theta)
 
 
 def _axis_gaussian(omega: complex, t: np.ndarray) -> np.ndarray:
@@ -117,11 +123,6 @@ def _axis_sum(xi_sq: np.ndarray, dim: int) -> np.ndarray:
     for axis in range(dim):
         total = total + xi_sq.reshape((-1,) + (1,) * (dim - 1 - axis))
     return total
-
-
-def xi_squared(phi: GridFunction) -> np.ndarray:
-    """|xi|^2 on the frequency grid of phi, FFT order."""
-    return _axis_sum(np.square(frequencies(phi.points, phi.half_width)), phi.dim)
 
 
 def heat_multiplier(phi: GridFunction, omega) -> np.ndarray:

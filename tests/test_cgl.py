@@ -19,8 +19,10 @@ from gwcommute.cgl import (
     simulate,
     weighted_records,
 )
-from gwcommute.grid import boundary_mass_fraction, from_callable, lp_norm, rel_l2_error
-from gwcommute.semigroup import apply_fourier, heat_multiplier, xi_squared
+from gwcommute.grid import boundary_mass_fraction, lp_norm, rel_l2_error
+from gwcommute.semigroup import apply_fourier, heat_multiplier
+
+from oracles import from_callable, xi_squared
 
 
 def step_duhamel(u, cfg, dt):
@@ -65,7 +67,6 @@ def config(**overrides):
         u0=small_gaussian(),
         dt=0.01,
         horizon=1.0,
-        snapshot_every=0.5,
     )
     base.update(overrides)
     return CGLConfig(**base)
@@ -123,17 +124,19 @@ def test_linear_solution_matches_heat_kernel():
     # lam = 0: u(t) = eps G_{sigma + t}
     cfg = config(lam=0.0, horizon=2.0)
     run = simulate(cfg)
-    final = run.state_at(2.0)
+    final = run.states[run.times.index(2.0)]
     ref = small_gaussian(eps=0.01, sigma=3.0)
     assert rel_l2_error(final, ref) <= 1e-9
 
 
-def test_snapshot_times_and_state_at():
-    run = simulate(config(dt=0.25, horizon=2.0, snapshot_every=0.5))
-    assert run.times == [0.0, 0.5, 1.0, 1.5, 2.0]
-    assert run.state_at(1.0).points == 1024
-    with pytest.raises(KeyError):
-        run.state_at(0.3)
+def test_snapshot_times():
+    # a snapshot every SNAPSHOT_INTERVAL = 0.5, whatever the step
+    for dt in (0.25, 0.125):
+        run = simulate(config(dt=dt, horizon=2.0))
+        assert run.times == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert [u.points for u in run.states] == [1024] * 5
+    # and always at the horizon, even off the interval
+    assert simulate(config(dt=0.25, horizon=1.25)).times == [0.0, 0.5, 1.0, 1.25]
 
 
 def test_second_order_richardson_ratio():
@@ -143,7 +146,6 @@ def test_second_order_richardson_ratio():
         p_exponent=4.0,
         u0=small_gaussian(eps=0.03),
         horizon=2.0,
-        snapshot_every=2.0,
     )
     ref = simulate(CGLConfig(dt=0.00625, **base)).states[-1]
     errs = [
@@ -171,17 +173,18 @@ def test_blowup_guard_trips_on_nan(monkeypatch):
 
 
 def test_blowup_guard_runs_every_step():
-    # the only snapshot after t = 0 is at the horizon; the guard trips at
-    # the first step, long before it
-    cfg = config(lam=1e300, horizon=1.0, snapshot_every=1.0)
+    # the first snapshot after t = 0 is at t = 0.5; the guard trips at the
+    # first step, long before it
+    cfg = config(lam=1e300, horizon=1.0)
     with pytest.raises(BlowupError, match=r"at t = 0\.01:"):
         simulate(cfg)
 
 
 def test_simulate_matches_physical_space_steps():
-    cfg = config(nu=1.0 + 0.3j, lam=-1.0 + 0.5j, dt=0.05, horizon=3.0,
-                 snapshot_every=0.25, u0=wide_gaussian(64.0))
-    stride = round(cfg.snapshot_every / cfg.dt)
+    # five steps per snapshot, twelve snapshots after u0
+    cfg = config(nu=1.0 + 0.3j, lam=-1.0 + 0.5j, dt=0.1, horizon=6.0,
+                 u0=wide_gaussian(64.0))
+    stride = round(cgl.SNAPSHOT_INTERVAL / cfg.dt)
     u, want = cfg.u0, [cfg.u0]
     for k in range(1, round(cfg.horizon / cfg.dt) + 1):
         u = step_physical(u, cfg, cfg.dt)
@@ -222,7 +225,7 @@ def simulate_three_transforms(cfg):
     half = heat_multiplier(cfg.u0, cfg.nu * (cfg.dt / 2.0))
     kick = cfg.dt * half
     steps = round(cfg.horizon / cfg.dt)
-    stride = max(1, round(cfg.snapshot_every / cfg.dt))
+    stride = max(1, round(cgl.SNAPSHOT_INTERVAL / cfg.dt))
     spectrum = np.fft.fftn(cfg.u0.samples)
     times, states = [0.0], [cfg.u0]
     boundary_max = boundary_mass_fraction(cfg.u0)
@@ -255,10 +258,10 @@ def small_gaussian_2d(eps=0.01, points=128, half_width=32.0):
 
 @pytest.mark.parametrize("make", [
     default_suite_cgl_config,
-    lambda: config(nu=1.0 + 0.3j, lam=-1.0 + 0.5j, dt=0.05, horizon=3.0,
-                   snapshot_every=0.25, u0=wide_gaussian(64.0)),
-    lambda: config(nu=1.0 + 0.5j, lam=-1.0 + 0.2j, p_exponent=3.0, dt=0.05,
-                   horizon=1.0, snapshot_every=0.25, u0=small_gaussian_2d()),
+    lambda: config(nu=1.0 + 0.3j, lam=-1.0 + 0.5j, dt=0.1, horizon=6.0,
+                   u0=wide_gaussian(64.0)),
+    lambda: config(nu=1.0 + 0.5j, lam=-1.0 + 0.2j, p_exponent=3.0, dt=0.1,
+                   horizon=2.0, u0=small_gaussian_2d(points=256, half_width=64.0)),
     # cgl-growth's shape: real nu and lambda take the float64 route through
     # lambda |u|^{p-1}, where a complex lambda takes the complex one
     lambda: config(u0=small_gaussian(points=2048, half_width=64.0)),
@@ -300,7 +303,7 @@ def test_blowup_guard_names_a_state_between_snapshots(monkeypatch):
     # the third step's forcing lifts u(0.03) to about 10, far past the
     # limit of 10 x max|u0| ~ 0.028; the kept snapshots are at 0.5 and 1, so
     # only the guard on the fourth step's predictor sees u(0.03)
-    cfg = config(horizon=1.0, snapshot_every=0.5)
+    cfg = config(horizon=1.0)
     assert cfg.dt * 1e3 > 10 * lp_norm(cfg.u0, math.inf)
     nonlinearity = CGLConfig.nonlinearity
     calls = []
@@ -318,8 +321,7 @@ def test_blowup_guard_names_a_state_between_snapshots(monkeypatch):
 
 
 def test_defocusing_mass_is_monotone():
-    cfg = config(lam=-1.0, dt=0.05, horizon=3.0, snapshot_every=0.25,
-                 u0=wide_gaussian(64.0))
+    cfg = config(lam=-1.0, dt=0.1, horizon=6.0, u0=wide_gaussian(64.0))
     run = simulate(cfg)
     masses = [u.samples.sum().real * u.cell_volume for u in run.states]
     assert all(b < a for a, b in zip(masses, masses[1:]))
@@ -329,7 +331,7 @@ def test_defocusing_mass_is_monotone():
 
 def test_linear_decay_records_r1_exactly_constant():
     run = simulate(config(lam=0.0, horizon=4.0, u0=wide_gaussian(64.0)))
-    recs = [rec for rec in decay_records(run, r_values=(1.0,))]
+    recs = [rec for rec in decay_records(run) if rec.r == 1.0]
     values = [rec.value for rec in recs]
     assert max(values) - min(values) <= 1e-10 * values[0]
     assert decay_bounded(recs)
@@ -391,7 +393,6 @@ def test_boundary_warning_on_tight_box():
         u0=small_gaussian(points=128, half_width=4.0),
         dt=0.05,
         horizon=3.0,
-        snapshot_every=0.5,
     )
     with pytest.warns(RuntimeWarning, match="boundary mass"):
         run = simulate(cfg)

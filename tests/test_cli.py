@@ -281,6 +281,8 @@ def test_verify_identity_non_finite_tolerance_rejected(capsys, monkeypatch):
     (["--eps", "0"], "two snapshots in the fit window"),
     (["--p", "x"], "bad --p 'x'"),
     (["--lambda", "1e300,0"], "sup-norm guard tripped at t = 0.01:"),
+    # horizon / dt overflows to inf: no multiple, not a traceback
+    (["--dt", "1e-310"], "horizon 2.0 must be an integer multiple of dt 1e-310"),
 ])
 def test_cgl_input_errors_write_nothing(tmp_path, capsys, flags, message):
     code = main(["cgl", "--T", "2", "--grid", "512,32", *flags,
@@ -685,6 +687,19 @@ def test_compute_library_does_not_load_the_config_layer():
         "import sys, gwcommute.commutator, gwcommute.estimates, gwcommute.cgl; "
         "print(sorted(m for m in ('gwcommute.parallel', 'gwcommute.config', "
         "'configparser') if m in sys.modules))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_numeric_library_does_not_load_the_exact_algebra():
+    # the Gaussian prefactor lives in semigroup, so the numeric modules need
+    # neither the Hermite polynomials nor their Laurent coefficients
+    proc = run_fresh(
+        "import sys, gwcommute.grid, gwcommute.semigroup, gwcommute.commutator, "
+        "gwcommute.estimates, gwcommute.cgl; "
+        "print(sorted(m for m in ('gwcommute.hermite', 'gwcommute.laurent') "
+        "if m in sys.modules))"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from gwcommute.catalog import realize_checked
-from gwcommute.commutator import NORM_FLOOR
 from gwcommute.estimates import (
     ExponentTriple,
     constant_A,
@@ -18,8 +17,10 @@ from gwcommute.estimates import (
     verify_theorem_1_2,
     weighted_rhs,
 )
-from gwcommute.grid import from_callable, lp_norm, rel_l2_error, weight_multiply_radial
+from gwcommute.grid import NORM_FLOOR, lp_norm, rel_l2_error, weight_multiply_radial
 from gwcommute.multiindex import MultiIndex
+
+from oracles import from_callable
 
 INF = math.inf
 

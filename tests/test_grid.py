@@ -9,7 +9,6 @@ from gwcommute.grid import (
     GridFunction,
     boundary_mass_fraction,
     coordinates,
-    from_callable,
     lp_norm,
     monomial_weight,
     radial_weight,
@@ -18,6 +17,8 @@ from gwcommute.grid import (
     weight_multiply_radial,
 )
 from gwcommute.multiindex import MultiIndex, enumerate_up_to
+
+from oracles import from_callable
 
 
 def make_1d(fn, points=512, half_width=16.0):

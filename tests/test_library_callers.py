@@ -21,28 +21,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "gwcommute").glob("*.py"))
+# the names a library import of test code would use: the tests package, or
+# a module next to this file, importable as a top-level name when pytest
+# runs (oracles, conftest, the test modules)
+TEST_MODULES = {"tests"} | {p.stem for p in ROOT.joinpath("tests").glob("*.py")}
 CALLERS = LIBRARY + sorted((ROOT / "benchmarks").glob("*.py"))
 
-# Names only the tests call, directly or through each other: the Hermite
-# paper checks (with the Hermite polynomial's evaluation and monomial
-# product), the grid sampler the tests build inputs with, the full |xi|^2
-# grid the multiplier tests compare against, and the CGL snapshot lookup by
-# time.  Delete a name here when it
-# is deleted or gains a library caller.
+# Names only the tests call, directly or through each other.  The tests'
+# own oracles live in tests/oracles.py; monomial_expand stays in the
+# library because the exact evaluator planned in ROADMAP item 7 (the
+# Gaussian cases from their spec, pointwise) is to be its caller.  Delete a
+# name here when it is deleted or gains a library caller.
 TEST_ONLY = {
-    "cgl.CGLRun.state_at",
-    "grid.from_callable",
-    "hermite.HermitePoly.evaluate",
-    "hermite.HermitePoly.monomial_multiply",
-    "hermite.flavor_convert",
-    "hermite.gaussian_derivative",
-    "hermite.gaussian_kernel_point",
-    "hermite.hermite_by_recurrence",
-    "hermite.hermite_one",
-    "hermite.hermite_recurrence",
     "hermite.monomial_expand",
-    "hermite.reconstruct_monomial",
-    "semigroup.xi_squared",
 }
 
 # Names that no library code calls and benchmarks/*.py does: the benchmark
@@ -142,6 +133,26 @@ def test_benchmark_only_names_match_the_allowlist():
     held = uncalled_names(LIBRARY) - TEST_ONLY
     assert held - BENCHMARK_ONLY == set(), "new names only the benchmark keeps alive"
     assert BENCHMARK_ONLY - held == set(), "listed names that are gone or now have a library caller"
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports in source."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_library_imports_nothing_from_the_tests():
+    assert "oracles" in TEST_MODULES
+    assert imported_modules("import tests.oracles\nfrom oracles import x\n"
+                            "from . import grid\nimport numpy as np\n") == {
+        "tests", "oracles", "numpy"}
+    for path in LIBRARY:
+        assert imported_modules(path.read_text()) & TEST_MODULES == set(), path.name
 
 
 def test_scan_counts_live_uses_only():

@@ -19,14 +19,12 @@ from gwcommute.estimates import ExponentTriple, radial_commutator, verify_theore
 from gwcommute.grid import (
     GridFunction,
     coordinates,
-    from_callable,
     lp_norm,
     monomial_weight,
     radial_weight,
     rel_l2_error,
     weight_multiply,
 )
-from gwcommute.hermite import gaussian_kernel_point, gaussian_log_prefactor
 from gwcommute.multiindex import MultiIndex, enumerate_up_to, zero
 from gwcommute.semigroup import (
     apply_fourier,
@@ -35,12 +33,14 @@ from gwcommute.semigroup import (
     convolve_weighted_kernel,
     derivative_multiplier,
     frequencies,
+    gaussian_log_prefactor,
     heat_commutator,
     heat_multiplier,
     spectral_derivative,
     weighted_kernel_grid,
-    xi_squared,
 )
+
+from oracles import from_callable, gaussian_kernel_point, xi_squared
 
 
 def apply_direct_naive(phi, omega):
