@@ -13,7 +13,12 @@ its spectrum S, so one step
     S' = e^{dt nu D} S + dt * e^{(dt/2) nu D} FFT f(IFFT(e^{(dt/2) nu D} S))
 
 costs two transforms, the predictor and the forcing; u(t + dt) itself is
-transformed back only at the snapshots kept.  The step runs in place: S is
+transformed back only at the snapshots kept.  A real problem (nu, lambda
+and u0 real, decided once from exact zeros) stays real: f(u) is real and
+both multipliers are real and even in xi, so its spectrum is Hermitian and
+the run carries only its half, k_n = 0..N/2 on the last axis, through
+rfftn/irfftn and real field buffers.  Any other problem carries the full
+complex spectrum through fftn/ifftn.  The step runs in place: S is
 overwritten with S', the transforms and products write into work buffers
 made once per run, and |u| of the predictor is taken once for the sup-norm
 guard and the forcing.  A snapshot is kept every SNAPSHOT_INTERVAL = 0.5
@@ -28,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -90,14 +96,18 @@ class CGLConfig:
         """f(u) = lambda |u|^{p-1} u, continuous at u = 0.
 
         mag, if given, holds |samples| and is overwritten; out, if given,
-        receives f(u) and is returned.  The products keep the order
-        lambda * |u|^{p-1}, then that times u, so the bits do not depend on
-        the buffers.
+        receives f(u) and is returned; it may be mag itself.  The products
+        keep the order lambda * |u|^{p-1}, then that times u, so the bits do
+        not depend on the buffers.  Real samples with a real lambda (zero
+        imaginary part) stay real: they take lambda's real part.
         """
+        lam = self.lam
+        if not np.iscomplexobj(samples) and complex(lam).imag == 0:
+            lam = lam.real
         if mag is None:
             mag = np.abs(samples)
         mag **= self.p_exponent - 1.0
-        factor = np.multiply(self.lam, mag, out=out)
+        factor = np.multiply(lam, mag, out=out)
         return np.multiply(factor, samples, out=out)
 
 
@@ -126,21 +136,45 @@ class CGLRun:
 class _Stepper:
     """Precomputed multipliers and work buffers for the (nu, dt) of cfg.
 
-    advance() steps a spectrum, the state at time t, to that of t + dt in
-    place, with two transforms and no allocation the size of the grid;
-    guard() checks |u| of the predictor on the way.
+    The arithmetic is chosen once, from exact zeros: a problem whose nu,
+    lambda and u0 all have zero imaginary parts is real, and is stepped on
+    its half spectrum (rfftn's layout: k = 0..N/2 on the last axis) with
+    real multipliers and real field buffers; any other problem on its full
+    spectrum with fftn/ifftn.  advance() steps a spectrum, the state at time
+    t, to that of t + dt in place, with two transforms and no allocation the
+    size of the grid; guard() checks |u| of the predictor on the way.
     """
 
     def __init__(self, cfg: CGLConfig):
         self.cfg = cfg
-        self.full = heat_multiplier(cfg.u0, cfg.nu * cfg.dt)
-        self.half = heat_multiplier(cfg.u0, cfg.nu * (cfg.dt / 2.0))
-        self.kick = cfg.dt * self.half
-        self.sup_limit = DEFAULT_BLOWUP_FACTOR * lp_norm(cfg.u0, math.inf)
         shape = cfg.u0.samples.shape
-        self.predictor = np.empty(shape, dtype=np.complex128)
-        self.forcing = np.empty(shape, dtype=np.complex128)
-        self.mag = np.empty(shape)
+        full = heat_multiplier(cfg.u0, cfg.nu * cfg.dt)
+        half = heat_multiplier(cfg.u0, cfg.nu * (cfg.dt / 2.0))
+        self.real = (complex(cfg.nu).imag == 0 and complex(cfg.lam).imag == 0
+                     and not cfg.u0.samples.imag.any())
+        if self.real:
+            cut = shape[-1] // 2 + 1
+            full, half = (np.ascontiguousarray(m[..., :cut].real) for m in (full, half))
+            self.forward = np.fft.rfftn
+            self.inverse = partial(np.fft.irfftn, s=shape, axes=tuple(range(len(shape))))
+            # the spectral buffer is free once the predictor is inverted, so
+            # it takes the forcing's spectrum; f(u) is formed in |u|'s buffer
+            self.predictor = self.forcing = np.empty(full.shape, dtype=np.complex128)
+            self.field = np.empty(shape)
+            self.mag = self.source = np.empty(shape)
+        else:
+            self.forward, self.inverse = np.fft.fftn, np.fft.ifftn
+            # the predictor is inverted in place; f(u) is formed and
+            # transformed in the forcing's buffer
+            self.predictor = self.field = np.empty(shape, dtype=np.complex128)
+            self.forcing = self.source = np.empty(shape, dtype=np.complex128)
+            self.mag = np.empty(shape)
+        self.full, self.half, self.kick = full, half, cfg.dt * half
+        self.sup_limit = DEFAULT_BLOWUP_FACTOR * lp_norm(cfg.u0, math.inf)
+
+    def spectrum(self, u: GridFunction) -> np.ndarray:
+        """The spectrum of u that advance() steps, a fresh array."""
+        return self.forward(u.samples.real if self.real else u.samples)
 
     def guard(self, mag: np.ndarray, t: float) -> None:
         """Raise BlowupError at time t if max mag, the state's |u|, exceeds
@@ -159,15 +193,15 @@ class _Stepper:
         full * S + kick * FFT f(IFFT(half * S)): numpy's complex multiply
         need not give the same bits with its operands swapped.
         """
-        predictor, forcing, mag = self.predictor, self.forcing, self.mag
-        np.multiply(self.half, spectrum, out=predictor)
-        np.fft.ifftn(predictor, out=predictor)
-        np.abs(predictor, out=mag)
-        self.guard(mag, t)
-        np.fft.fftn(self.cfg.nonlinearity(predictor, mag, out=forcing), out=forcing)
-        np.multiply(self.kick, forcing, out=forcing)
+        np.multiply(self.half, spectrum, out=self.predictor)
+        self.inverse(self.predictor, out=self.field)
+        np.abs(self.field, out=self.mag)
+        self.guard(self.mag, t)
+        self.forward(self.cfg.nonlinearity(self.field, self.mag, out=self.source),
+                     out=self.forcing)
+        np.multiply(self.kick, self.forcing, out=self.forcing)
         np.multiply(self.full, spectrum, out=spectrum)
-        spectrum += forcing
+        spectrum += self.forcing
 
 
 def step_count(horizon: float, dt: float) -> int:
@@ -194,7 +228,7 @@ def simulate(cfg: CGLConfig) -> CGLRun:
     steps = step_count(cfg.horizon, cfg.dt)
     stride = max(1, round(SNAPSHOT_INTERVAL / cfg.dt))
     stepper = _Stepper(cfg)
-    spectrum = np.fft.fftn(cfg.u0.samples)
+    spectrum = stepper.spectrum(cfg.u0)
     times = [0.0]
     states = [cfg.u0]
     boundary_max = boundary_mass_fraction(cfg.u0)
@@ -202,7 +236,7 @@ def simulate(cfg: CGLConfig) -> CGLRun:
         stepper.advance(spectrum, (k - 1) * cfg.dt)
         if k % stride == 0 or k == steps:
             # a fresh array: the snapshot's GridFunction freezes it
-            samples = np.fft.ifftn(spectrum)
+            samples = stepper.inverse(spectrum)
             stepper.guard(np.abs(samples), k * cfg.dt)
             u = cfg.u0.with_samples(samples)
             times.append(k * cfg.dt)

@@ -66,9 +66,6 @@ class HermitePoly:
             self.dim, self.flavor, {b: w * weight for b, w in self.coeffs.items()}
         )
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def sorted_terms(self) -> Iterator[tuple[MultiIndex, LaurentPoly]]:
         """Terms ordered by (order, components): deterministic for printing."""
         for beta in sorted(self.coeffs, key=lambda b: (b.order, b.components)):

@@ -100,17 +100,21 @@ def test_config_checks_the_step_rule_at_construction():
 
 
 def test_zero_nonlinearity_step_is_pure_semigroup():
-    # complex-typed nu: stepper and apply_fourier build the multiplier through
-    # the same complex-exp kernel, so the linear path is reproduced bitwise
-    cfg = config(lam=0.0, nu=complex(1.0))
+    # complex-typed nu on a complex u0, so the step takes the full-spectrum
+    # path: stepper and apply_fourier build the multiplier through the same
+    # complex-exp kernel, so the linear path is reproduced bitwise
+    u0 = small_gaussian() * (0.6 + 0.8j)
+    cfg = config(lam=0.0, nu=complex(1.0), u0=u0)
     u1 = step_duhamel(cfg.u0, cfg, 0.25)
     ref = apply_fourier(cfg.u0, complex(0.25))
     assert np.array_equal(u1.samples, ref.samples)
-    # float-typed nu goes through numpy's vectorized real exp, which may
-    # round the multiplier 1 ulp differently: value-level agreement only
-    cfg_f = config(lam=0.0, nu=1.0)
-    u1_f = step_duhamel(cfg_f.u0, cfg_f, 0.25)
-    assert rel_l2_error(u1_f, ref) <= 1e-14
+    # a real u0 takes the half-spectrum path, and float-typed nu goes through
+    # numpy's vectorized real exp, which may round the multiplier 1 ulp
+    # differently: value-level agreement only
+    for nu in (complex(1.0), 1.0):
+        cfg_r = config(lam=0.0, nu=nu)
+        u1_r = step_duhamel(cfg_r.u0, cfg_r, 0.25)
+        assert rel_l2_error(u1_r, apply_fourier(cfg_r.u0, complex(0.25))) <= 1e-14
 
 
 def test_complex_nu_step_is_pure_semigroup():
@@ -196,9 +200,13 @@ def test_simulate_matches_physical_space_steps():
         assert rel_l2_error(got, ref) <= 1e-12, t
 
 
-def test_two_transforms_per_step(monkeypatch):
+@pytest.mark.parametrize("nu, pair", [
+    (1.0, ("rfftn", "irfftn")),
+    (1.0 + 0.3j, ("fftn", "ifftn")),
+], ids=["real", "complex"])
+def test_two_transforms_per_step(monkeypatch, nu, pair):
     calls = []
-    for name in ("fftn", "ifftn"):
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
         original = getattr(cgl.np.fft, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -206,34 +214,50 @@ def test_two_transforms_per_step(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(cgl.np.fft, name, counted)
-    cfg = config(dt=0.05, horizon=1.0)
+    cfg = config(nu=nu, dt=0.05, horizon=1.0)
     run = simulate(cfg)
     steps = round(cfg.horizon / cfg.dt)
     snapshots = len(run.states) - 1  # u0 is kept as given
     assert (steps, snapshots) == (20, 2)
     # the transform of u0, the predictor and the forcing of each step, and
-    # u(t) itself only for each kept snapshot
+    # u(t) itself only for each kept snapshot, all through one pair
+    forward, inverse = pair
     assert len(calls) == 1 + 2 * steps + snapshots
-    assert calls.count("fftn") == 1 + steps
+    assert calls.count(forward) == 1 + steps
+    assert calls.count(inverse) == steps + snapshots
 
 
-def simulate_three_transforms(cfg):
+def simulate_three_transforms(cfg, real=False):
     """(times, states, boundary_max) from a three-transform stepper that
     returns every step to physical space: the reference simulate, which
-    transforms back only the snapshots it keeps, must match bit for bit."""
+    transforms back only the snapshots it keeps, must match bit for bit.
+    With real=True it steps the half spectrum of a real problem through
+    rfftn/irfftn and the real half of each multiplier; otherwise the full
+    complex spectrum through fftn/ifftn."""
     full = heat_multiplier(cfg.u0, cfg.nu * cfg.dt)
     half = heat_multiplier(cfg.u0, cfg.nu * (cfg.dt / 2.0))
+    samples = cfg.u0.samples
+    forward, inverse = np.fft.fftn, np.fft.ifftn
+    if real:
+        shape = samples.shape
+        cut = shape[-1] // 2 + 1
+        full, half = (np.ascontiguousarray(m[..., :cut].real) for m in (full, half))
+        samples = samples.real
+        forward = np.fft.rfftn
+
+        def inverse(spectrum):
+            return np.fft.irfftn(spectrum, s=shape, axes=tuple(range(len(shape))))
     kick = cfg.dt * half
     steps = round(cfg.horizon / cfg.dt)
     stride = max(1, round(cgl.SNAPSHOT_INTERVAL / cfg.dt))
-    spectrum = np.fft.fftn(cfg.u0.samples)
+    spectrum = forward(samples)
     times, states = [0.0], [cfg.u0]
     boundary_max = boundary_mass_fraction(cfg.u0)
     for k in range(1, steps + 1):
-        predictor = np.fft.ifftn(half * spectrum)
-        forcing = np.fft.fftn(cfg.nonlinearity(predictor))
+        predictor = inverse(half * spectrum)
+        forcing = forward(cfg.nonlinearity(predictor))
         spectrum = full * spectrum + kick * forcing
-        samples = np.fft.ifftn(spectrum)
+        samples = inverse(spectrum)
         if k % stride == 0 or k == steps:
             u = cfg.u0.with_samples(samples)
             times.append(k * cfg.dt)
@@ -256,18 +280,64 @@ def small_gaussian_2d(eps=0.01, points=128, half_width=32.0):
     )
 
 
+@pytest.mark.parametrize("make, real", [
+    (default_suite_cgl_config, True),
+    (lambda: config(nu=1.0 + 0.3j, lam=-1.0 + 0.5j, dt=0.1, horizon=6.0,
+                    u0=wide_gaussian(64.0)), False),
+    (lambda: config(nu=1.0 + 0.5j, lam=-1.0 + 0.2j, p_exponent=3.0, dt=0.1,
+                    horizon=2.0, u0=small_gaussian_2d(points=256, half_width=64.0)),
+     False),
+    # cgl-growth's shape: real nu, lambda and u0 step the half spectrum
+    (lambda: config(u0=small_gaussian(points=2048, half_width=64.0)), True),
+], ids=["default-suite", "complex-1d", "complex-2d", "real-1d"])
+def test_simulate_is_bit_identical_to_three_transform_steps(make, real):
+    cfg = make()
+    assert cgl._Stepper(cfg).real == real
+    times, states, boundary_max = simulate_three_transforms(cfg, real)
+    run = simulate(cfg)
+    assert run.times == times
+    assert len(run.states) == len(states)
+    for t, got, want in zip(times, run.states, states):
+        assert np.array_equal(got.samples, want.samples), t
+    assert run.boundary_max == boundary_max
+
+
 @pytest.mark.parametrize("make", [
     default_suite_cgl_config,
-    lambda: config(nu=1.0 + 0.3j, lam=-1.0 + 0.5j, dt=0.1, horizon=6.0,
-                   u0=wide_gaussian(64.0)),
-    lambda: config(nu=1.0 + 0.5j, lam=-1.0 + 0.2j, p_exponent=3.0, dt=0.1,
-                   horizon=2.0, u0=small_gaussian_2d(points=256, half_width=64.0)),
-    # cgl-growth's shape: real nu and lambda take the float64 route through
-    # lambda |u|^{p-1}, where a complex lambda takes the complex one
     lambda: config(u0=small_gaussian(points=2048, half_width=64.0)),
-], ids=["default-suite", "complex-1d", "complex-2d", "real-1d"])
-def test_simulate_is_bit_identical_to_three_transform_steps(make):
+    lambda: config(p_exponent=3.0, dt=0.1, horizon=2.0,
+                   u0=small_gaussian_2d(points=256, half_width=64.0)),
+], ids=["default-suite", "real-1d", "real-2d"])
+def test_real_path_stays_within_rounding_of_the_complex_one(make):
+    # measured: at most 2.9e-16 (1-d) and 3.8e-16 (2-d) relative L2 on
+    # every snapshot
     cfg = make()
+    _, states, _ = simulate_three_transforms(cfg)
+    run = simulate(cfg)
+    assert len(run.states) == len(states)
+    for t, got, want in zip(run.times, run.states, states):
+        assert rel_l2_error(got, want) <= 1e-14, t
+
+
+def nudged_u0():
+    """A real u0 but for one sample, whose imaginary part is the least
+    subnormal."""
+    u0 = small_gaussian(points=2048, half_width=64.0)
+    samples = u0.samples.copy()
+    samples[1024] += 1j * math.ulp(0.0)
+    return u0.with_samples(samples)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(u0=nudged_u0()),
+    dict(nu=complex(1.0, math.ulp(0.0))),
+    dict(lam=complex(-1.0, math.ulp(0.0))),
+], ids=["u0", "nu", "lambda"])
+def test_one_nonzero_imaginary_part_keeps_the_complex_path(overrides):
+    base = dict(u0=small_gaussian(points=2048, half_width=64.0))
+    assert cgl._Stepper(config(**base)).real
+    cfg = config(**{**base, **overrides})
+    assert not cgl._Stepper(cfg).real
     times, states, boundary_max = simulate_three_transforms(cfg)
     run = simulate(cfg)
     assert run.times == times
@@ -280,12 +350,15 @@ def test_simulate_is_bit_identical_to_three_transform_steps(make):
 def test_advance_allocates_less_than_one_field():
     # advance steps the spectrum in place through buffers made by the
     # stepper, so its steady state allocates nothing of the grid's size.
-    # Measured over 50 steps at cgl-growth's N = 2048: 17 648 bytes, against
-    # 197 288 when every step built its products, |u| and transforms afresh;
-    # the bound is one N-point complex field (32 768 bytes).
+    # Measured over 50 steps at cgl-growth's N = 2048: 16 720 bytes on the
+    # half spectrum, mostly numpy's cast buffer for a real multiplier times
+    # the complex spectrum (17 648 on the full spectrum, 197 288 when every
+    # step built its products, |u| and transforms afresh); the bound is one
+    # N-point complex field (32 768 bytes).
     cfg = config(u0=small_gaussian(points=2048, half_width=64.0))
     stepper = cgl._Stepper(cfg)
-    spectrum = np.fft.fftn(cfg.u0.samples)
+    spectrum = stepper.spectrum(cfg.u0)
+    assert spectrum.shape == (1025,)
     for k in range(5):
         stepper.advance(spectrum, k * cfg.dt)
     tracemalloc.start()
@@ -296,7 +369,7 @@ def test_advance_allocates_less_than_one_field():
         used = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert used < spectrum.nbytes, used
+    assert used < cfg.u0.samples.nbytes, used
 
 
 def test_blowup_guard_names_a_state_between_snapshots(monkeypatch):
@@ -345,6 +418,32 @@ def test_linear_decay_records_all_r_bounded():
     # records stay within the 2x band
     raw_inf = [lp_norm(u, math.inf) for u in run.states]
     assert raw_inf[-1] < raw_inf[0]
+
+
+def decay_series(r, values, times=(0.5, 1.0, 2.0, 4.0)):
+    return [cgl.DecayRecord(t, r, v) for t, v in zip(times, values)]
+
+
+def test_decay_bounded_holds_each_series_within_twice_its_t1_value():
+    # each series is anchored at its first t >= 1; values before it are free
+    ok = decay_series(1.0, [9.0, 1.0, 2.0, 1.5])
+    assert decay_bounded(ok)
+    assert decay_bounded(ok + decay_series(2.0, [1.0, 3.0, 6.0, 0.1]))
+    # a series that grows past DECAY_FACTOR = 2 times its t = 1 value
+    assert not decay_bounded(decay_series(1.0, [1.0, 1.0, 2.0, 2.000001]))
+    assert not decay_bounded(ok + decay_series(math.inf, [1.0, 1.0, 0.5, 2.5]))
+
+
+def ratio_series(ratios, times=(0.0, 0.5, 1.0, 2.0)):
+    return [cgl.WeightedRecord(t, ratio, ratio) for t, ratio in zip(times, ratios)]
+
+
+def test_ratio_bounded_holds_the_whole_run_within_its_factor():
+    # anchored at the first t >= 1, checked over the whole run
+    assert ratio_bounded(ratio_series([0.5, 2.0, 1.0, 3.0]))
+    assert not ratio_bounded(ratio_series([0.5, 1.0, 1.0, 3.000001]))
+    assert not ratio_bounded(ratio_series([3.5, 1.0, 1.0, 1.0]))
+    assert ratio_bounded(ratio_series([3.5, 1.0, 1.0, 1.0]), factor=4.0)
 
 
 def test_weighted_records_linear_reference():
@@ -418,3 +517,17 @@ def test_nonlinearity_continuous_at_zero():
     assert np.all(out == 0)
     vals = cfg.nonlinearity(np.array([0.1 + 0.0j]))
     assert vals[0] == pytest.approx(-(0.1**3.5))
+
+
+def test_nonlinearity_keeps_real_samples_real_for_a_real_lambda():
+    # the default suite's lambda = -1,0 parses to complex(-1, 0); on real
+    # samples it must act as -1.0, also into a real out buffer
+    samples = np.array([0.1, -0.2])
+    for lam in (-1.0, complex(-1.0, 0.0)):
+        out = np.empty(2)
+        assert config(lam=lam).nonlinearity(samples, out=out) is out
+        assert np.array_equal(out, -np.abs(samples) ** 3.0 * samples)
+    # a lambda with an imaginary part makes f(u) complex
+    vals = config(lam=-1.0 + 0.5j).nonlinearity(samples)
+    assert vals.dtype == np.complex128
+    assert vals[0] == pytest.approx((-1.0 + 0.5j) * 0.1**4)

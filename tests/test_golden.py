@@ -39,13 +39,13 @@ SUITE_ARTIFACTS = {
     "kernel_norms.csv":
         "8b2b84c16aaa9687432a196e93c1826517f3087b54f30cfc81ea639863668220",
     "cgl_decay.csv":
-        "ffa5dacb06970084ae4bfee78b8f147238cad57021568820d1b7cdfce26f182e",
+        "0f2cfc629669df7e4f2e59e00dab4a23bc168c608a43f6d7669d940a712cfdc5",
     "cgl_weighted.csv":
-        "b5d9f7a49238a75b91371253b81cce30f14f82ffb3dff905695a4e6c002f5bf5",
+        "e733811fcb5fc2948aee97f12689cbf667c74e6af41fb464276dd2f5903d707b",
     "cgl.plt":
         "5b62630ebb0e843b7d1d319c7d0f60ffac836f0699dbebae607f1f385a887d9b",
 }
-SUITE_STDOUT = "0dce95903ef2dae9b47ba52c374f94470489cafdc05ec696eee02761a4e22f6b"
+SUITE_STDOUT = "df02208963eb9c96750e459a262dbb2b443cc1d20c5fafc597f8625bcfc53e01"
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -136,9 +136,9 @@ SUBCOMMANDS = {
         ["cgl", "--T", "2", "--dt", "0.01", "--grid", "512,32", "--out", "run"],
         0, "b337dd2911c96fed85538db1e0f558594eecaf7a58b175c37140c5c7efae2574",
         {"run_decay.csv":
-         "0039648cac095a99f741ca044cbb91c4fbedbe4fd3dbff848ec70faba281a188",
+         "74f8c7681cba15d367d2bb09de1db55f57173825f31536474ce1c3646c8e5194",
          "run_weighted.csv":
-         "53916b56dd8c699a509d49c38a93c9afb5f5374d29dffb09d13ad2c9c0dd998f",
+         "635e1ffdf038606eeda498a871b150902efba313fb9da3dc93e1089e1abd8f5b",
          "run.plt":
          "3b1b353c9fb63f867d9d93158fde5c20ca18dab9586bbde388259c6985e11460"},
     ),
