@@ -15,15 +15,16 @@ its spectrum S, so one step
 costs two transforms, the predictor and the forcing; u(t + dt) itself is
 transformed back only at the snapshots kept.  A real problem (nu, lambda
 and u0 real, decided once from exact zeros) stays real: f(u) is real and
-both multipliers are real and even in xi, so its spectrum is Hermitian and
-the run carries only its half, k_n = 0..N/2 on the last axis, through
-rfftn/irfftn and real field buffers.  Any other problem carries the full
-complex spectrum through fftn/ifftn.  The step runs in place: S is
-overwritten with S', the transforms and products write into work buffers
-made once per run, and |u| of the predictor is taken once for the sup-norm
-guard and the forcing.  A snapshot is kept every SNAPSHOT_INTERVAL = 0.5
-time units and at the horizon; each gets a fresh array, since its
-GridFunction freezes its samples.  Probes then test
+both multipliers take real values and are even in xi, so its spectrum is
+Hermitian and the run carries only its half, k_n = 0..N/2 on the last
+axis, through rfftn/irfftn and a real field.  Any other problem carries
+the full complex spectrum through fftn/ifftn.  Both hold the multipliers
+in the spectrum's complex dtype and step in place with one buffer layout:
+S is overwritten with S', the transforms and products write into work
+buffers made once per run, and |u| of the predictor is taken once for the
+sup-norm guard and the forcing.  A snapshot is kept every
+SNAPSHOT_INTERVAL = 0.5 time units and at the horizon; each gets a fresh
+array, since its GridFunction freezes its samples.  Probes then test
 
     decay:    (1+t)^{(n/2)(1-1/r)} ||u(t)||_r stays bounded,
     weighted: W(t) = sum_{|a|=m} ||x^a u(t)||_q grows no faster than t^{m/2}.
@@ -33,7 +34,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .grid import (
     lp_norm,
     monomial_weight,
     reciprocal,
-    weight_multiply,
 )
 from .multiindex import enumerate_level
 from .semigroup import check_omega, heat_multiplier
@@ -138,38 +137,35 @@ class _Stepper:
 
     The arithmetic is chosen once, from exact zeros: a problem whose nu,
     lambda and u0 all have zero imaginary parts is real, and is stepped on
-    its half spectrum (rfftn's layout: k = 0..N/2 on the last axis) with
-    real multipliers and real field buffers; any other problem on its full
-    spectrum with fftn/ifftn.  advance() steps a spectrum, the state at time
-    t, to that of t + dt in place, with two transforms and no allocation the
-    size of the grid; guard() checks |u| of the predictor on the way.
+    its half spectrum (rfftn's layout: k = 0..N/2 on the last axis) with a
+    real field; any other problem on its full spectrum with fftn/ifftn and
+    a complex field.  The multipliers are complex on both, cut to the
+    spectrum's last-axis length.  advance() steps a spectrum, the state at
+    time t, to that of t + dt in place, with two transforms and no
+    allocation the size of the grid; guard() checks |u| of the predictor on
+    the way.  Its buffers: spectral holds the predictor's spectrum and then
+    the forcing's, field the predictor, mag its |u|, and f(u) is formed in
+    source: mag on the real path, spectral on the complex one.
     """
 
     def __init__(self, cfg: CGLConfig):
         self.cfg = cfg
         shape = cfg.u0.samples.shape
-        full = heat_multiplier(cfg.u0, cfg.nu * cfg.dt)
-        half = heat_multiplier(cfg.u0, cfg.nu * (cfg.dt / 2.0))
         self.real = (complex(cfg.nu).imag == 0 and complex(cfg.lam).imag == 0
                      and not cfg.u0.samples.imag.any())
         if self.real:
-            cut = shape[-1] // 2 + 1
-            full, half = (np.ascontiguousarray(m[..., :cut].real) for m in (full, half))
-            self.forward = np.fft.rfftn
-            self.inverse = partial(np.fft.irfftn, s=shape, axes=tuple(range(len(shape))))
-            # the spectral buffer is free once the predictor is inverted, so
-            # it takes the forcing's spectrum; f(u) is formed in |u|'s buffer
-            self.predictor = self.forcing = np.empty(full.shape, dtype=np.complex128)
-            self.field = np.empty(shape)
-            self.mag = self.source = np.empty(shape)
+            # the grid rule makes N even, so irfftn's default length is N
+            pair, dtype, cut = (np.fft.rfftn, np.fft.irfftn), float, shape[-1] // 2 + 1
         else:
-            self.forward, self.inverse = np.fft.fftn, np.fft.ifftn
-            # the predictor is inverted in place; f(u) is formed and
-            # transformed in the forcing's buffer
-            self.predictor = self.field = np.empty(shape, dtype=np.complex128)
-            self.forcing = self.source = np.empty(shape, dtype=np.complex128)
-            self.mag = np.empty(shape)
-        self.full, self.half, self.kick = full, half, cfg.dt * half
+            pair, dtype, cut = (np.fft.fftn, np.fft.ifftn), complex, shape[-1]
+        self.forward, self.inverse = pair
+        self.full, self.half = (np.ascontiguousarray(heat_multiplier(cfg.u0, w)[..., :cut])
+                                for w in (cfg.nu * cfg.dt, cfg.nu * (cfg.dt / 2.0)))
+        self.kick = cfg.dt * self.half
+        self.spectral = np.empty(self.full.shape, dtype=np.complex128)
+        self.field = np.empty(shape, dtype=dtype)
+        self.mag = np.empty(shape)
+        self.source = self.mag if self.real else self.spectral
         self.sup_limit = DEFAULT_BLOWUP_FACTOR * lp_norm(cfg.u0, math.inf)
 
     def spectrum(self, u: GridFunction) -> np.ndarray:
@@ -193,15 +189,15 @@ class _Stepper:
         full * S + kick * FFT f(IFFT(half * S)): numpy's complex multiply
         need not give the same bits with its operands swapped.
         """
-        np.multiply(self.half, spectrum, out=self.predictor)
-        self.inverse(self.predictor, out=self.field)
+        np.multiply(self.half, spectrum, out=self.spectral)
+        self.inverse(self.spectral, out=self.field)
         np.abs(self.field, out=self.mag)
         self.guard(self.mag, t)
         self.forward(self.cfg.nonlinearity(self.field, self.mag, out=self.source),
-                     out=self.forcing)
-        np.multiply(self.kick, self.forcing, out=self.forcing)
+                     out=self.spectral)
+        np.multiply(self.kick, self.spectral, out=self.spectral)
         np.multiply(self.full, spectrum, out=spectrum)
-        spectrum += self.forcing
+        spectrum += self.spectral
 
 
 def step_count(horizon: float, dt: float) -> int:
@@ -268,14 +264,15 @@ def decay_records(run: CGLRun) -> list[DecayRecord]:
     return records
 
 
-def check_weight_range(u: GridFunction, m: int) -> None:
+def check_weight_range(u: GridFunction, m: int) -> list[np.ndarray]:
     """The probe's rule: every weight x^a, |a| = m, is finite in float64 on
-    the grid of u.  It evaluates the very weights weighted_records applies,
-    so it is the float-range fact itself, not a bound on m."""
+    the grid of u.  It returns those weights, in enumerate_level order, and
+    weighted_records applies them, so the rule is the float-range fact
+    itself, not a bound on m."""
     with np.errstate(over="ignore"):
-        if all(np.isfinite(monomial_weight(u, alpha)).all()
-               for alpha in enumerate_level(u.dim, m)):
-            return
+        weights = [monomial_weight(u, alpha) for alpha in enumerate_level(u.dim, m)]
+    if all(np.isfinite(weight).all() for weight in weights):
+        return weights
     raise ValueError(f"weight order m = {m} is too large for the box half-width "
                      f"L = {u.half_width:g}: x^a with |a| = m overflows float64 on [-L, L)")
 
@@ -286,12 +283,11 @@ def weighted_records(run: CGLRun, m: int, q: float) -> list[WeightedRecord]:
     A W(t) that is not finite (the weights fit in float64, their q-th
     powers need not) raises ValueError naming m, q and t.
     """
-    check_weight_range(run.config.u0, m)
-    level = enumerate_level(run.config.u0.dim, m)
+    weights = check_weight_range(run.config.u0, m)
     records = []
     for t, u in zip(run.times, run.states):
         with np.errstate(over="ignore"):
-            w = math.fsum(lp_norm(weight_multiply(u, alpha), q) for alpha in level)
+            w = math.fsum(lp_norm(u.with_samples(weight * u.samples), q) for weight in weights)
         if not math.isfinite(w):
             raise ValueError(f"W(t) = sum ||x^a u(t)||_q overflows float64 at m = {m}, "
                              f"q = {q:g}, t = {t:g}")

@@ -61,11 +61,6 @@ class HermitePoly:
             out[beta] = out.get(beta, laurent.ZERO) - weight
         return HermitePoly(self.dim, self.flavor, out)
 
-    def scale(self, weight: LaurentPoly) -> "HermitePoly":
-        return HermitePoly(
-            self.dim, self.flavor, {b: w * weight for b, w in self.coeffs.items()}
-        )
-
     def sorted_terms(self) -> Iterator[tuple[MultiIndex, LaurentPoly]]:
         """Terms ordered by (order, components): deterministic for printing."""
         for beta in sorted(self.coeffs, key=lambda b: (b.order, b.components)):

@@ -307,8 +307,9 @@ def _binomial_pass(u: np.ndarray, a: int, omega: complex, x: np.ndarray,
     with np.errstate():  # restores the buffer size on exit
         # An in-place product with a strided or broadcast operand runs
         # through a scratch buffer, 8192 elements (128 KiB) by default;
-        # one row's worth keeps it small beside the matrix.
-        np.setbufsize(n)
+        # one row's worth keeps it small beside the matrix.  numpy takes
+        # only multiples of 16, so an 8-point row rounds up to 16.
+        np.setbufsize(-(-n // 16) * 16)
         for b in range(a - 1, 0, -1):
             matrix += (math.comb(a, b) * x ** (a - b)).astype(row.dtype, copy=False)
             matrix *= d

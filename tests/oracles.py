@@ -5,9 +5,9 @@ beside the tests (the file is not collected: its name does not match
 test_*.py).  They are:
 
 - the Hermite paper checks: the order-zero polynomial, exact products by
-  x^gamma, numeric evaluation, the transport between the two flavors, both
-  sides of the recurrence, h_{w,a} generated by the recurrence alone, and
-  x^a rebuilt from monomial_expand;
+  x^gamma and by a Laurent weight, numeric evaluation, the transport
+  between the two flavors, both sides of the recurrence, h_{w,a} generated
+  by the recurrence alone, and x^a rebuilt from monomial_expand;
 - the Gaussian kernel G_w and its derivatives at one point, through the
   Hermite closed form;
 - the full |xi|^2 grid the multiplier tests compare heat_multiplier
@@ -41,6 +41,11 @@ def monomial_multiply(poly: HermitePoly, gamma: MultiIndex) -> HermitePoly:
     if gamma.dim != poly.dim:
         raise ValueError("dimension mismatch")
     return HermitePoly(poly.dim, poly.flavor, {b + gamma: w for b, w in poly.coeffs.items()})
+
+
+def scale(poly: HermitePoly, weight: LaurentPoly) -> HermitePoly:
+    """Exact multiplication of every coefficient by weight."""
+    return HermitePoly(poly.dim, poly.flavor, {b: w * weight for b, w in poly.coeffs.items()})
 
 
 def evaluate(poly: HermitePoly, omega: complex, x) -> complex:
@@ -97,12 +102,11 @@ def hermite_recurrence(alpha: MultiIndex, j: int) -> dict[str, HermitePoly]:
     """
     e_j = unit(alpha.dim, j)
     lhs = monomial_multiply(hermite_closed_form(alpha, "h"), e_j)
-    rhs = hermite_closed_form(alpha + e_j, "h").scale(LaurentPoly.monomial(1, 1))
+    rhs = scale(hermite_closed_form(alpha + e_j, "h"), LaurentPoly.monomial(1, 1))
     a_j = alpha[j - 1]
     if a_j >= 1:
-        rhs = rhs + hermite_closed_form(alpha - e_j, "h").scale(
-            LaurentPoly.constant(2 * a_j)
-        )
+        rhs = rhs + scale(hermite_closed_form(alpha - e_j, "h"),
+                          LaurentPoly.constant(2 * a_j))
     return {"lhs": lhs, "rhs": rhs}
 
 
@@ -122,11 +126,10 @@ def hermite_by_recurrence(alpha: MultiIndex) -> HermitePoly:
         j = next(k for k, c in enumerate(a, start=1) if c > 0)
         e_j = unit(a.dim, j)
         prev = a - e_j
-        poly = monomial_multiply(build(prev), e_j).scale(LaurentPoly.monomial(1, -1))
+        poly = scale(monomial_multiply(build(prev), e_j), LaurentPoly.monomial(1, -1))
         if prev[j - 1] >= 1:
-            poly = poly - build(prev - e_j).scale(
-                LaurentPoly.monomial(2 * prev[j - 1], -1)
-            )
+            poly = poly - scale(build(prev - e_j),
+                                LaurentPoly.monomial(2 * prev[j - 1], -1))
         cache[a] = poly
         return poly
 
@@ -137,7 +140,7 @@ def reconstruct_monomial(alpha: MultiIndex) -> HermitePoly:
     """Substitute closed forms into monomial_expand; must equal x^alpha exactly."""
     total = HermitePoly(alpha.dim, "h", {})
     for b, weight in monomial_expand(alpha):
-        total = total + hermite_closed_form(alpha - (2 * b), "h").scale(weight)
+        total = total + scale(hermite_closed_form(alpha - (2 * b), "h"), weight)
     return total
 
 

@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from gwcommute import cgl, config as suite_config
+from gwcommute import cgl, config as suite_config, grid
 from gwcommute.cli import _build_cgl_config
 from gwcommute.cgl import (
     BlowupError,
@@ -20,6 +20,7 @@ from gwcommute.cgl import (
     weighted_records,
 )
 from gwcommute.grid import boundary_mass_fraction, lp_norm, rel_l2_error
+from gwcommute.multiindex import enumerate_level
 from gwcommute.semigroup import apply_fourier, heat_multiplier
 
 from oracles import from_callable, xi_squared
@@ -347,18 +348,23 @@ def test_one_nonzero_imaginary_part_keeps_the_complex_path(overrides):
     assert run.boundary_max == boundary_max
 
 
-def test_advance_allocates_less_than_one_field():
+@pytest.mark.parametrize("nu, field_bytes", [
+    (1.0, 2048 * 8),
+    (1.0 + 0.3j, 2048 * 16),
+], ids=["real", "complex"])
+def test_advance_allocates_less_than_one_field(nu, field_bytes):
     # advance steps the spectrum in place through buffers made by the
     # stepper, so its steady state allocates nothing of the grid's size.
-    # Measured over 50 steps at cgl-growth's N = 2048: 16 720 bytes on the
-    # half spectrum, mostly numpy's cast buffer for a real multiplier times
-    # the complex spectrum (17 648 on the full spectrum, 197 288 when every
-    # step built its products, |u| and transforms afresh); the bound is one
-    # N-point complex field (32 768 bytes).
-    cfg = config(u0=small_gaussian(points=2048, half_width=64.0))
+    # Measured over 50 steps at cgl-growth's N = 2048: 1 664 bytes on the
+    # half spectrum, whose multipliers share the spectrum's complex dtype
+    # (16 720 when they were real and numpy cast them through a buffer on
+    # every product), and 17 648 on the full spectrum (197 288 when every
+    # step built its products, |u| and transforms afresh).  The bound is one
+    # N-point field of the path's dtype: 16 384 bytes real, 32 768 complex.
+    cfg = config(nu=nu, u0=small_gaussian(points=2048, half_width=64.0))
     stepper = cgl._Stepper(cfg)
     spectrum = stepper.spectrum(cfg.u0)
-    assert spectrum.shape == (1025,)
+    assert spectrum.shape == ((1025,) if stepper.real else (2048,))
     for k in range(5):
         stepper.advance(spectrum, k * cfg.dt)
     tracemalloc.start()
@@ -369,7 +375,25 @@ def test_advance_allocates_less_than_one_field():
         used = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert used < cfg.u0.samples.nbytes, used
+    assert used < field_bytes, used
+
+
+@pytest.mark.parametrize("u0", [
+    small_gaussian(points=2048, half_width=64.0),
+    small_gaussian_2d(points=64, half_width=16.0),
+], ids=["1d", "2d"])
+def test_real_multipliers_are_the_complex_ones_cut_to_the_half_spectrum(u0):
+    # one multiplier dtype: the real path keeps the first N/2 + 1 last-axis
+    # entries of the complex path's multipliers, as they are
+    real = cgl._Stepper(config(u0=u0))
+    full = cgl._Stepper(config(u0=u0, lam=-1.0 + 0.5j))
+    assert real.real and not full.real
+    cut = u0.points // 2 + 1
+    for name in ("full", "half", "kick"):
+        got, want = getattr(real, name), getattr(full, name)
+        assert got.dtype == want.dtype == np.complex128, name
+        assert got.shape == want.shape[:-1] + (cut,), name
+        assert np.array_equal(got, want[..., :cut]), name
 
 
 def test_blowup_guard_names_a_state_between_snapshots(monkeypatch):
@@ -497,6 +521,32 @@ def test_boundary_warning_on_tight_box():
         run = simulate(cfg)
     assert run.boundary_max > DEFAULT_BOUNDARY_LIMIT
     assert len(run.states) == 7
+
+
+@pytest.mark.parametrize("u0, m", [
+    (small_gaussian(), 2),
+    (small_gaussian_2d(), 3),
+], ids=["1d", "2d"])
+def test_weighted_records_builds_each_weight_once(monkeypatch, u0, m):
+    # check_weight_range builds every x^a once, in enumerate_level order,
+    # and weighted_records applies those arrays to every snapshot
+    level = enumerate_level(u0.dim, m)
+    weights = cgl.check_weight_range(u0, m)
+    assert len(weights) == len(level)
+    for weight, alpha in zip(weights, level):
+        assert np.array_equal(weight, grid.monomial_weight(u0, alpha))
+    run = simulate(config(u0=u0, p_exponent=3.5, dt=0.25, horizon=1.0))
+    assert len(run.states) == 3
+    calls = []
+
+    def counted(phi, alpha, _original=grid.monomial_weight):
+        calls.append(alpha)
+        return _original(phi, alpha)
+
+    monkeypatch.setattr(grid, "monomial_weight", counted)
+    monkeypatch.setattr(cgl, "monomial_weight", counted)
+    assert len(weighted_records(run, m, 2.0)) == 3
+    assert calls == level
 
 
 def test_weight_range_is_the_float64_range():

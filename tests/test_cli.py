@@ -341,6 +341,28 @@ def test_cgl_oversized_initial_data_rejected(tmp_path, capsys):
     assert "smallness" in capsys.readouterr().err
 
 
+# ------------------------------------------------- the grid rule's minimum
+
+@pytest.mark.parametrize("argv", [
+    ["verify-identity", "--alpha", "1", "--omega", "1,0", "--testfn", "gauss-wide"],
+    ["verify-identity", "--alpha", "1", "--omega", "1,0", "--testfn", "gauss-wide",
+     "--with-shift"],
+    ["verify-estimate", "--m", "1", "--p", "2", "--q", "1", "--omega", "1,0",
+     "--testfn", "gauss-wide"],
+    ["kernel-norms"],
+    # eight points 16 apart put mass in the boundary band at once
+    pytest.param(["cgl", "--grid", "8,64"],
+                 marks=pytest.mark.filterwarnings("ignore:boundary mass fraction")),
+], ids=["verify-identity", "verify-identity-shift", "verify-estimate", "kernel-norms",
+        "cgl"])
+def test_every_grid_subcommand_runs_at_eight_points(tmp_path, argv):
+    # N = 8 is the least grid the rule accepts: a coarse grid may fail a
+    # check or an input rule, but never end in a traceback
+    if "--grid" not in argv:
+        argv = [*argv, "--grid", "8,16"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) in (0, 1, 2)
+
+
 # ---------------------------------------------------------------------- suite
 
 SMALL_SUITE = """

@@ -25,7 +25,7 @@ from gwcommute.laurent import LaurentPoly
 from gwcommute.multiindex import MultiIndex, enumerate_up_to, factorial
 from gwcommute.semigroup import convolve_weighted_kernel, frequencies
 
-from oracles import evaluate, from_callable, gaussian_kernel_point, xi_squared
+from oracles import evaluate, from_callable, gaussian_kernel_point, scale, xi_squared
 
 SWEEP_OMEGAS = (1.0, 0.25, 1.0 + 0.99j, 2.0 - 1.0j)  # acceptance-03's four omegas
 
@@ -155,7 +155,7 @@ def test_coefficient_checksums_exact():
                     weight = LaurentPoly(
                         {t.kappa.order + t.delta.order: t.coefficient}
                     )
-                    part = hermite_closed_form(t.delta, "h").scale(weight)
+                    part = scale(hermite_closed_form(t.delta, "h"), weight)
                     total = part if total is None else total + part
                 want = factorial(alpha) // (factorial(beta) * factorial(gamma))
                 assert total.coeffs == {beta: LaurentPoly({0: want})}, (alpha, beta)

@@ -7,9 +7,9 @@ benchmark tracer wraps names by string).  A use inside the definition itself
 does not count, and neither does a use inside a def that is itself
 test-only.  Dunder methods are not scanned on their own, because operators
 and the runtime reach them without naming them; their bodies count as the
-class's.  Methods are matched by name alone, so a method that shares its
-name with a live one counts as live (``HermitePoly.scale`` beside
-``CommutatorTerm.scale``).  The names left over are used by the
+class's.  Methods are matched by name alone, so a method that shared its
+name with a live one would count as live; no two library defs may share a
+name, which keeps the match exact.  The names left over are used by the
 tests alone; they must match TEST_ONLY exactly, so a new test-only name, or
 a listed name that is deleted or gains a caller, fails here and the list
 stays true.  The names that only the benchmark keeps alive, left over
@@ -118,6 +118,16 @@ def uncalled_names(callers=CALLERS) -> set[str]:
                          module_statements(path.read_text(), path.stem, path in LIBRARY)])
 
 
+def shared_names(statements) -> dict[str, list[str]]:
+    """{name: defs} for each name that two or more library defs carry, as
+    the scan matches them: by the last component of "module.Class.method"."""
+    owners = {}
+    for name, _ in statements:
+        if name is not None:
+            owners.setdefault(name.rsplit(".", 1)[-1], []).append(name)
+    return {short: names for short, names in owners.items() if len(names) > 1}
+
+
 def test_scan_sees_the_library():
     assert {p.name for p in LIBRARY} >= {"grid.py", "semigroup.py", "catalog.py"}
     assert any(p.name == "tracer.py" for p in CALLERS)
@@ -133,6 +143,14 @@ def test_benchmark_only_names_match_the_allowlist():
     held = uncalled_names(LIBRARY) - TEST_ONLY
     assert held - BENCHMARK_ONLY == set(), "new names only the benchmark keeps alive"
     assert BENCHMARK_ONLY - held == set(), "listed names that are gone or now have a library caller"
+
+
+def test_no_two_library_defs_share_a_name():
+    # a method named like another def would be kept alive by that def's
+    # callers, as HermitePoly.scale was by CommutatorTerm.scale's
+    statements = [statement for path in LIBRARY for statement in
+                  module_statements(path.read_text(), path.stem, library=True)]
+    assert shared_names(statements) == {}
 
 
 def imported_modules(source: str) -> set[str]:
@@ -172,6 +190,9 @@ def test_scan_counts_live_uses_only():
         "TABLE = {'used': used, 'poly': Poly}\n"
     )
     # Poly.scale is live through Poly.__mul__, and Lonely.scale by its name.
-    assert unreferenced(module_statements(source, "m", library=True)) == {
+    statements = module_statements(source, "m", library=True)
+    assert unreferenced(statements) == {
         "m.recursive", "m.helper", "m.only_for_tests", "m.Lonely", "m.Lonely.copy",
         "m.imported_only", "m.Poly.evaluate", "m.only_from_evaluate"}
+    # which is why the library may not share a name between two defs
+    assert shared_names(statements) == {"scale": ["m.Lonely.scale", "m.Poly.scale"]}
