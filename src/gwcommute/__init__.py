@@ -7,11 +7,15 @@ Layout:
     hermite     Hermite polynomials attached to exp(-|x|^2/w), exact
     grid        sampled complex functions on uniform boxes, L^p norms, weights
     semigroup   e^{w*Laplacian} by Fourier multiplier and by quadrature;
-                [eta, e^{w*Laplacian}] for a sampled weight eta
+                [eta, e^{w*Laplacian}] for a sampled weight eta; the one
+                Fourier-multiplier step
     commutator  three independent evaluators of [x^a, e^{w*Laplacian}]
     estimates   explicit constants and weighted-norm estimate checks
     cgl         complex Ginzburg-Landau decay/growth experiment
     catalog     seeded test-function catalog
+    config      suite config and subcommand inputs, strictly validated
+    reporting   report rows and deterministic CSV artifacts
+    parallel    ordered fan-out over independent cases (GW_THREADS)
     cli         command-line entry point
 """
 

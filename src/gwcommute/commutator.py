@@ -144,13 +144,16 @@ def evaluate_R_theorem(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunct
     ixi = 1j * xi
     x = phi.axis()
     zeros, some = phi.samples, None
-    # fftn over one axis, not fft: a count of fftn/ifftn calls per axis
-    # transformed (benchmarks/tracer.py keeps one) then sees every transform.
     for axis, a in enumerate(alpha):
         shape = (-1,) + (1,) * (phi.dim - 1 - axis)
         x_j = x.reshape(shape)
-        total = (None if some is None
-                 else np.fft.fftn(x_j**a * some if a else some, axes=[axis]))
+
+        # F_j(x_j^g u) by fftn over one axis, not fft: a count of fftn/ifftn
+        # calls per axis transformed (benchmarks/tracer.py keeps one) sees all.
+        def transform(u, g):
+            return np.fft.fftn(x_j**g * u if g else u, axes=[axis])
+
+        total = None if some is None else transform(some, a)
         if a:
             # S has been transformed into total, so S + Z may take its buffer.
             if some is None:
@@ -159,19 +162,18 @@ def evaluate_R_theorem(alpha: MultiIndex, omega, phi: GridFunction) -> GridFunct
                 some += zeros
                 either = some
             for g, symbol in _axis_symbols(a, w, ixi):
-                part = symbol.reshape(shape) * np.fft.fftn(
-                    x_j**g * either if g else either, axes=[axis])
+                part = symbol.reshape(shape) * transform(either, g)
                 if total is None:
                     total = part
                 else:
                     total += part
         if any(alpha[axis + 1:]):
-            zeros = np.fft.fftn(x_j**a * zeros if a else zeros, axes=[axis])
+            zeros = transform(zeros, a)
         some = total
     heat = np.exp(-w * np.square(xi))
     for axis in range(phi.dim):
         some *= heat.reshape((-1,) + (1,) * (phi.dim - 1 - axis))
-    return phi.with_samples(np.fft.ifftn(some))
+    return phi.with_samples(np.fft.ifftn(some, out=some))
 
 
 def _axis_symbols(a: int, w: complex,

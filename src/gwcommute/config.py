@@ -24,7 +24,8 @@ multiindex.check_order, multiindex.check_index, semigroup.check_omega,
 semigroup.check_theta, cgl.check_run, catalog.get_entry); this module calls
 it and turns its ValueError into a ConfigError through as_config_error(), or
 get_entry's KeyError into one with the same message.  The harnesses' own
-rules are kept here: non-empty lists and a CGL horizon >= 2.
+rules are kept here: non-empty lists, a CGL horizon >= 2 and a suite
+seed >= 0.
 """
 from __future__ import annotations
 
@@ -284,7 +285,10 @@ def _pq_pair(chunk: str) -> tuple[float, float]:
 # Readers: (merged strings, key -> the name its errors carry) -> section.
 
 def _suite(v, name) -> tuple[tuple[str, ...], int]:
-    return parse_list(v["harnesses"], str), parse_int(v["seed"], name("seed"))
+    seed = parse_int(v["seed"], name("seed"))
+    if seed < 0:
+        raise ConfigError(f"{name('seed')} must be >= 0, got {seed}")
+    return parse_list(v["harnesses"], str), seed
 
 
 def _identity(v, name) -> IdentitySection:

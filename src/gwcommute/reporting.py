@@ -42,6 +42,15 @@ def format_exponent(p: float) -> str:
     return repr(float(p))
 
 
+# CSV column -> the EstimateReport field its cell shows; the other columns
+# show params.
+_COLUMN_FIELDS = {
+    "lhs": "lhs", "rel_l2_err": "lhs", "norm": "lhs",
+    "rhs": "rhs", "bound": "rhs",
+    "constant": "constant", "margin": "margin", "pass": "passed", "check": "check",
+}
+
+
 @dataclass(frozen=True)
 class EstimateReport:
     """One verification row: an inequality lhs <= rhs or a discrepancy bound."""
@@ -71,18 +80,9 @@ class EstimateReport:
         raise KeyError(f"report {self.check} has no parameter {key!r}")
 
     def row(self, columns: list[str]) -> list[str]:
-        special = {
-            "lhs": format_value(self.lhs),
-            "rhs": format_value(self.rhs),
-            "constant": format_value(self.constant),
-            "margin": format_value(self.margin),
-            "pass": format_value(self.passed),
-            "rel_l2_err": format_value(self.lhs),
-            "norm": format_value(self.lhs),
-            "bound": format_value(self.rhs),
-            "check": self.check,
-        }
-        return [special[c] if c in special else self.param(c) for c in columns]
+        """The cells of columns: a report field's (see _COLUMN_FIELDS) or a param."""
+        return [format_value(getattr(self, _COLUMN_FIELDS[c])) if c in _COLUMN_FIELDS
+                else self.param(c) for c in columns]
 
 
 def config_hash(text: str) -> str:

@@ -4,16 +4,17 @@ The time w is finite with re w > 0, the paper's domain.  check_omega is
 the one rule for it: every entry that takes w calls it, the spectral ones
 through heat_multiplier, so w = 0 and re w = 0 are rejected everywhere.
 
-The spectral path is diagonal in the discrete Fourier basis:
-heat_multiplier builds exp(-w |xi|^2), apply_fourier flows one field
-through it, and heat_commutator flows both terms of
-[eta, e^{w*Laplacian}] phi through one multiplier.  The flows run in
-place: each field is transformed, multiplied and transformed back in one
-buffer (numpy.fft's out=), so a commutator holds two fields beside its
-multiplier.  The commutators with x^a, |x|^m and a sampled eta all call
-heat_commutator; the CGL stepper takes its multipliers from
-heat_multiplier.  convolve_weighted_kernel is
-the quadrature oracle; at beta = 0 it is the plain sum
+The spectral path is diagonal in the discrete Fourier basis, and _flow
+is its one step: it multiplies a spectrum by a Fourier multiplier in
+place and inverts it into the same buffer (numpy.fft's out=).
+heat_multiplier builds exp(-w |xi|^2); apply_fourier flows one field
+through it, heat_commutator flows both terms of [eta, e^{w*Laplacian}] phi
+through one multiplier, so a commutator holds two fields beside it, and
+spectral_derivative flows a field through prod_j (i xi_j)^{delta_j}.  The
+commutators with x^a, |x|^m and a sampled eta all call heat_commutator;
+the CGL stepper takes its multipliers from heat_multiplier.
+convolve_weighted_kernel is the quadrature oracle; at beta = 0 it is the
+plain sum
 
     (e^{w*Laplacian} phi)(x) ~ h^n sum_y G_w(x - y) phi(y)
 
@@ -117,14 +118,6 @@ def frequencies(points: int, half_width: float) -> np.ndarray:
     return 2.0 * math.pi * np.fft.fftfreq(points, d=spacing)
 
 
-def _axis_sum(xi_sq: np.ndarray, dim: int) -> np.ndarray:
-    """sum_j xi_sq[k_j] on the dim-fold grid, added axis by axis from zero."""
-    total = np.zeros((xi_sq.size,) * dim)
-    for axis in range(dim):
-        total = total + xi_sq.reshape((-1,) + (1,) * (dim - 1 - axis))
-    return total
-
-
 def heat_multiplier(phi: GridFunction, omega) -> np.ndarray:
     """exp(-w |xi|^2) on the frequency grid of phi, FFT order; w by check_omega.
 
@@ -135,59 +128,50 @@ def heat_multiplier(phi: GridFunction, omega) -> np.ndarray:
     w = check_omega(omega)
     points = phi.points
     half = points // 2 + 1
-    total = _axis_sum(np.square(frequencies(points, phi.half_width))[:half], phi.dim)
+    xi_sq = np.square(frequencies(points, phi.half_width))[:half]
+    total = reduce(np.add.outer, [xi_sq] * phi.dim)
     # FFT position k holds frequency k for k <= N/2 and k - N above it.
     index = np.minimum(np.arange(points), points - np.arange(points))
     return np.exp(-w * total)[np.ix_(*([index] * phi.dim))]
 
 
+def _flow(spectrum: np.ndarray, multiplier) -> np.ndarray:
+    """The inverse DFT of spectrum * multiplier, formed in spectrum's buffer."""
+    spectrum *= multiplier
+    return np.fft.ifftn(spectrum, out=spectrum)
+
+
 def apply_fourier(phi: GridFunction, omega) -> GridFunction:
     """e^{w*Laplacian} phi as the Fourier multiplier exp(-w |xi|^2); linear in phi."""
     multiplier = heat_multiplier(phi, omega)
-    spectrum = np.fft.fftn(phi.samples)
-    spectrum *= multiplier
-    return phi.with_samples(np.fft.ifftn(spectrum, out=spectrum))
+    return phi.with_samples(_flow(np.fft.fftn(phi.samples), multiplier))
 
 
 def heat_commutator(weight: np.ndarray, omega, phi: GridFunction) -> GridFunction:
     """[eta, e^{w*Laplacian}] phi = eta e^{wD}phi - e^{wD}(eta phi).
 
     weight holds the samples of eta and broadcasts against phi.samples.
-    Both flows share one multiplier, which checks w.  Each term is
-    transformed, flowed and inverted in its own buffer, and the difference
-    is formed in the first.
+    Both flows share one multiplier, which checks w.  Each term flows in
+    its own buffer, and the difference is formed in the first.
     """
     multiplier = heat_multiplier(phi, omega)
-    flowed = np.fft.fftn(phi.samples)
-    flowed *= multiplier
-    np.fft.ifftn(flowed, out=flowed)
+    flowed = _flow(np.fft.fftn(phi.samples), multiplier)
     weighted = np.multiply(weight, phi.samples)
-    np.fft.fftn(weighted, out=weighted)
-    weighted *= multiplier
-    np.fft.ifftn(weighted, out=weighted)
+    weighted = _flow(np.fft.fftn(weighted, out=weighted), multiplier)
     np.multiply(weight, flowed, out=flowed)
     flowed -= weighted
     return phi.with_samples(flowed)
 
 
-def derivative_multiplier(phi: GridFunction, delta: MultiIndex):
-    """prod_j (i xi_j)^{delta_j} on the frequency grid of phi, FFT order.
-
-    The outer product of the 1-d factors; the scalar 1.0 when delta = 0.
-    """
+def spectral_derivative(phi: GridFunction, delta: MultiIndex) -> GridFunction:
+    """d^delta phi via the multiplier prod_j (i xi_j)^{delta_j}, the outer
+    product of the 1-d factors; delta = 0 returns phi itself."""
     check_index(delta, phi.dim, "delta")
     if delta.order == 0:
-        return 1.0
-    ixi = 1j * frequencies(phi.points, phi.half_width)
-    return reduce(np.multiply.outer, [ixi**d for d in delta])
-
-
-def spectral_derivative(phi: GridFunction, delta: MultiIndex) -> GridFunction:
-    """d^delta phi via the multiplier prod_j (i xi_j)^{delta_j}."""
-    multiplier = derivative_multiplier(phi, delta)
-    if delta.order == 0:
         return phi
-    return phi.with_samples(np.fft.ifftn(np.fft.fftn(phi.samples) * multiplier))
+    ixi = 1j * frequencies(phi.points, phi.half_width)
+    multiplier = reduce(np.multiply.outer, [ixi**d for d in delta])
+    return phi.with_samples(_flow(np.fft.fftn(phi.samples), multiplier))
 
 
 def check_oracle_grid(dim: int, points: int) -> None:

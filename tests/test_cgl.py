@@ -109,9 +109,10 @@ def test_zero_nonlinearity_step_is_pure_semigroup():
     u1 = step_duhamel(cfg.u0, cfg, 0.25)
     ref = apply_fourier(cfg.u0, complex(0.25))
     assert np.array_equal(u1.samples, ref.samples)
-    # a real u0 takes the half-spectrum path, and float-typed nu goes through
-    # numpy's vectorized real exp, which may round the multiplier 1 ulp
-    # differently: value-level agreement only
+    # a real u0 takes the half-spectrum path: the multiplier is the same
+    # (check_omega makes every w complex, float-typed nu included), but
+    # rfftn/irfftn round differently from fftn/ifftn, so value-level
+    # agreement only
     for nu in (complex(1.0), 1.0):
         cfg_r = config(lam=0.0, nu=nu)
         u1_r = step_duhamel(cfg_r.u0, cfg_r, 0.25)

@@ -188,8 +188,10 @@ def test_harness_without_section():
 
 
 def test_bad_seed():
-    with pytest.raises(ConfigError, match="seed"):
-        parse_suite_config("[suite]\nharnesses =\nseed = pi\n")
+    for value, message in [("pi", "bad [suite] seed 'pi'"),
+                           ("-30000000", "[suite] seed must be >= 0, got -30000000")]:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_suite_config(f"[suite]\nharnesses =\nseed = {value}\n")
 
 
 @pytest.mark.parametrize("text, message", [

@@ -45,7 +45,6 @@ BENCHMARK_ONLY = {
     "multiindex.enumerate_up_to",
     "semigroup.apply_fourier",
     "semigroup.convolve_weighted_kernel",
-    "semigroup.derivative_multiplier",
     "semigroup.spectral_derivative",
 }
 

@@ -31,7 +31,6 @@ from gwcommute.semigroup import (
     check_omega,
     check_theta,
     convolve_weighted_kernel,
-    derivative_multiplier,
     frequencies,
     gaussian_log_prefactor,
     heat_commutator,
@@ -726,16 +725,25 @@ def test_spectral_derivative_exact_on_modes():
         spectral_derivative(phi, MultiIndex([1, 0]))
 
 
-def test_derivative_multiplier_is_outer_product_of_axis_factors():
-    phi = random_grid(2, 64, 16.0)
-    ixi = 1j * frequencies(64, 16.0)
-    got = derivative_multiplier(phi, MultiIndex((1, 3)))
-    assert np.array_equal(got, ixi[:, None] * (ixi**3)[None, :])
-    assert np.array_equal(derivative_multiplier(phi, MultiIndex((0, 2))),
-                          np.ones(64)[:, None] * (ixi**2)[None, :])
-    assert derivative_multiplier(phi, MultiIndex((0, 0))) == 1.0
+def test_spectral_derivative_on_a_2d_product_of_modes():
+    # the multiplier is the outer product of the axis factors (i xi_j)^delta_j
+    points, half_width = 64, 16.0
+    k1, k2 = math.pi * 3 / half_width, math.pi * -5 / half_width
+
+    def mode(x1, x2):
+        return np.exp(1j * (k1 * x1 + k2 * x2))
+
+    phi = from_callable(mode, 2, points, half_width)
+    out = spectral_derivative(phi, MultiIndex((1, 3)))
+    np.testing.assert_allclose(
+        out.samples, (1j * k1) * (1j * k2) ** 3 * phi.samples, rtol=1e-11
+    )
+    # a zero order leaves its axis alone
+    out = spectral_derivative(phi, MultiIndex((0, 2)))
+    np.testing.assert_allclose(out.samples, (1j * k2) ** 2 * phi.samples, rtol=1e-11)
+    assert spectral_derivative(phi, MultiIndex((0, 0))) is phi
     with pytest.raises(ValueError):
-        derivative_multiplier(phi, MultiIndex([1]))
+        spectral_derivative(phi, MultiIndex([1]))
 
 
 def test_spectral_derivative_gaussian_reference():
